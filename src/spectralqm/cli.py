@@ -8,7 +8,9 @@ fixed config and seed reproduce byte-identical data files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import VerifyConfig, run_all
+from .checks import VerifyConfig, _central_difference, run_all
 from .evolution import Trajectory
 from .grids import make_grid
 from .operators import hamiltonian, to_dense
@@ -93,19 +95,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, started: fl
     write_json(out_dir / f"{command}_manifest.json", manifest)
 
 
-def _ehrenfest_residual_columns(traj: Trajectory):
+def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
     """3-point centered-difference residuals; None at the two endpoint rows."""
     n = len(traj.times)
     v_resid: list[float | None] = [None] * n
     f_resid: list[float | None] = [None] * n
     if n >= 3:
         h = float(traj.times[1] - traj.times[0])
-        mass = traj.states[0].mass
-        dx = (traj.x_mean[2:, 0] - traj.x_mean[:-2, 0]) / (2 * h)
-        dp = (traj.p_mean[2:, 0] - traj.p_mean[:-2, 0]) / (2 * h)
-        for i in range(1, n - 1):
-            v_resid[i] = float(abs(dx[i - 1] - traj.p_mean[i, 0] / mass))
-            f_resid[i] = float(abs(dp[i - 1] - traj.f_mean[i, 0]))
+        dx, interior = _central_difference(traj.x_mean[:, 0], h, stencil=2)
+        dp, _ = _central_difference(traj.p_mean[:, 0], h, stencil=2)
+        v_resid[interior] = np.abs(dx - traj.p_mean[interior, 0] / mass).tolist()
+        f_resid[interior] = np.abs(dp - traj.f_mean[interior, 0]).tolist()
     return v_resid, f_resid
 
 
@@ -149,8 +149,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
 def cmd_evolve(args) -> int:
     started = time.perf_counter()
     config = _scenario_from_args(args)
-    traj = run(config, store_states=True)
-    v_resid, f_resid = _ehrenfest_residual_columns(traj)
+    traj = run(config)
+    v_resid, f_resid = _ehrenfest_residual_columns(traj, config.mass)
     rows = []
     for i, t in enumerate(traj.times):
         rows.append([
@@ -178,25 +178,23 @@ def cmd_spectrum(args) -> int:
     config = _scenario_from_args(args)
     g = config.grid
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
-    u = potential_samples(grid, config.potential)
-    h_dense = to_dense(hamiltonian(grid, u, config.mass, config.hbar))
     if args.levels > grid.size:
         print(f"error: requested {args.levels} levels but the matrix has "
               f"dimension {grid.size}", file=sys.stderr)
         return EXIT_USAGE
+    u = potential_samples(grid, config.potential)
+    h_dense = to_dense(hamiltonian(grid, u, config.mass, config.hbar))
     pairs = compute_spectrum(h_dense, args.levels)
 
-    analytic = None
+    rows = [[level, float(energy), None, None] for level, (energy, _) in enumerate(pairs)]
     if config.potential["kind"] == "harmonic":
-        omega = float(config.potential.get("omega", 1.0))
-        analytic = [config.hbar * omega * (k + 0.5) for k in range(args.levels)]
-    rows = []
-    for level, (energy, _state) in enumerate(pairs):
-        if analytic is None:
-            rows.append([level, float(energy), None, None])
-        else:
-            rows.append([level, float(energy), analytic[level],
-                         abs(float(energy) - analytic[level])])
+        # U = omega^2 |x|^2 / 2 has the levels hbar omega / sqrt(m) (n_1 + ... + n_dim + dim/2);
+        # the level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate
+        quantum = config.hbar * float(config.potential.get("omega", 1.0)) / math.sqrt(config.mass)
+        quanta = (n + grid.dim / 2 for n in itertools.count()
+                  for _ in range(math.comb(n + grid.dim - 1, grid.dim - 1)))
+        for row, q in zip(rows, quanta):
+            row[2:] = [quantum * q, abs(row[1] - quantum * q)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_spectrum.csv"

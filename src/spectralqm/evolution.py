@@ -76,7 +76,7 @@ def _fft_workers(grid: Grid) -> int:
     return 2 if grid.dim == 2 else 1
 
 
-def _records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, k_meshes, hbar):
+def _records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, hbar):
     """Expectation values computed directly from raw amplitudes (fast path)."""
     dv = grid.cell_volume
     density = np.abs(amps) ** 2
@@ -86,15 +86,44 @@ def _records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, k_meshes
     spec_density = np.abs(spec) ** 2
     # |fft|^2 * dx^dim / n_total equals |Phi|^2 dk^dim for the library transform.
     k_weight = dv / grid.size
-    p_mean = np.array(
-        [float(hbar * np.sum(k_meshes[a] * spec_density) * k_weight) for a in range(grid.dim)]
-    )
+    p_mean = np.array([float(hbar * np.sum(k * spec_density) * k_weight)
+                       for k in grid.k_derivative_meshes])
     u_mean = float(np.sum(u_samples * density) * dv)
-    f_mean = np.array(
-        [float(np.sum(force_samples[a] * density) * dv) for a in range(grid.dim)]
-    )
+    f_mean = np.array([float(np.sum(f * density) * dv) for f in force_samples])
     energy = float(np.sum(kinetic_k * spec_density) * k_weight) + u_mean
     return norm, x_mean, p_mean, u_mean, f_mean, energy
+
+
+def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
+                      record_every=None, on_record=None, on_drift=None) -> np.ndarray:
+    """Strang steps on a copy of psi0.amps, done in place; returns the final amplitudes.
+
+    Adjacent half-kicks are merged into one full kick, and split only at the
+    last step and at each record point (step % record_every == 0), where
+    on_record(step, amps) sees the whole state.  on_drift(amps) runs after
+    every drift, before the kick, so it may read only |amps|^2.
+    """
+    half_kick = np.exp(-1j * u_samples * dt / (2.0 * hbar))
+    full_kick = half_kick * half_kick
+    drift = np.exp(-1j * hbar * psi0.grid.k_squared * dt / (2.0 * mass))
+    workers = _fft_workers(psi0.grid)
+    amps = psi0.amps * half_kick
+    for step in range(1, steps + 1):
+        amps = sfft.fftn(amps, workers=workers, overwrite_x=True)
+        amps *= drift
+        amps = sfft.ifftn(amps, workers=workers, overwrite_x=True)
+        if on_drift is not None:
+            on_drift(amps)
+        recorded = on_record is not None and step % record_every == 0
+        if step < steps and not recorded:
+            amps *= full_kick
+            continue
+        amps *= half_kick
+        if recorded:
+            on_record(step, amps)
+        if step < steps:
+            amps *= half_kick
+    return amps
 
 
 def split_step(
@@ -131,39 +160,21 @@ def split_step(
 
     if force_samples is None:
         force_samples = [-spectral_gradient(grid, u_samples, a) for a in range(grid.dim)]
-    else:
-        if grid.dim == 1 and np.asarray(force_samples).ndim == 1:
-            force_samples = [np.asarray(force_samples, dtype=float)]
-        force_samples = [np.asarray(f, dtype=float) for f in force_samples]
+    elif grid.dim == 1 and np.ndim(force_samples) == 1:
+        force_samples = [force_samples]
+    force_samples = [np.asarray(f, dtype=float) for f in force_samples]
+    kinetic_k = hbar**2 * grid.k_squared / (2.0 * mass)
 
-    k_meshes = grid.k_derivative_meshes
-    k2 = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        k2 = k2 + grid.k_meshes[a] ** 2
-    kinetic_k = hbar**2 * k2 / (2.0 * mass)
+    times, states, rows = [], [], []
 
-    half_kick = np.exp(-1j * u_samples * dt / (2.0 * hbar))
-    drift = np.exp(-1j * kinetic_k * dt / hbar)
-    workers = _fft_workers(grid)
+    def record(step, amps):
+        times.append(step * dt)
+        if store_states:
+            states.append(Wavefunction(grid, amps.copy(), hbar=hbar, mass=mass))
+        rows.append(_records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, hbar))
 
-    def record(amps):
-        return _records_from_amps(
-            grid, amps, u_samples, force_samples, kinetic_k, k_meshes, hbar
-        )
-
-    times = [0.0]
-    states = [psi0] if store_states else []
-    rows = [record(psi0.amps)]
-    amps = psi0.amps.astype(complex)
-    for step in range(1, steps + 1):
-        amps = amps * half_kick
-        amps = sfft.ifftn(drift * sfft.fftn(amps, workers=workers), workers=workers)
-        amps = amps * half_kick
-        if step % record_every == 0:
-            times.append(step * dt)
-            if store_states:
-                states.append(Wavefunction(grid, amps.copy(), hbar=hbar, mass=mass))
-            rows.append(record(amps))
+    record(0, psi0.amps)
+    amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record)
     if not store_states:
         states = [Wavefunction(grid, amps, hbar=hbar, mass=mass)]
 

@@ -123,6 +123,11 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
+    def k_squared(self) -> np.ndarray:
+        """|k|^2 summed over axes (Nyquist kept: |k|^2 is unambiguous)."""
+        return sum(k**2 for k in self.k_meshes)
+
+    @cached_property
     def k_derivative_meshes(self) -> tuple[np.ndarray, ...]:
         axes = [self.axis_derivative_wavenumbers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))

@@ -189,13 +189,10 @@ def force_op(grid: Grid, u_samples: np.ndarray, axis: int = 0,
 
 
 def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal:
-    """hbar^2 k^2 / (2 m), k^2 summed over axes (Nyquist kept: |k|^2 is unambiguous)."""
+    """hbar^2 k^2 / (2 m), with k^2 from :attr:`Grid.k_squared`."""
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    k2 = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        k2 = k2 + grid.k_meshes[a] ** 2
-    return SpectralReal(grid, hbar**2 * k2 / (2.0 * mass), label="T")
+    return SpectralReal(grid, hbar**2 * grid.k_squared / (2.0 * mass), label="T")
 
 
 def hamiltonian(grid: Grid, u_samples: np.ndarray, mass: float = 1.0, hbar: float = 1.0) -> OperatorSum:

@@ -12,11 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.signal import find_peaks
 
 from .grids import Grid, Wavefunction, gaussian_packet, make_grid
-from .evolution import Trajectory, split_step
+from .evolution import Trajectory, _strang_propagate, split_step
 
 __all__ = [
     "ScenarioConfig",
@@ -241,6 +239,7 @@ def extract_fringe_spacing(
     The median is robust against weak edge lobes; peak positions are refined
     to sub-cell accuracy with a parabolic fit.
     """
+    from scipy.signal import find_peaks  # here: slow to import, and only this needs it
     smoothed = np.convolve(intensity, np.full(3, 1.0 / 3.0), mode="same")
     top = float(np.max(smoothed))
     if top <= 0.0:
@@ -280,17 +279,13 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     y_axis = grid.axis_points(1)
     det_col = int(np.argmin(np.abs(x_axis - detector_x)))
 
-    half_kick = np.exp(-1j * u * config.dt / (2.0 * config.hbar))
-    k2 = grid.k_meshes[0] ** 2 + grid.k_meshes[1] ** 2
-    drift = np.exp(-1j * config.hbar * k2 * config.dt / (2.0 * config.mass))
-
-    amps = psi0.amps.astype(complex)
     intensity = np.zeros(grid.n[1])
-    for _ in range(config.steps):
-        amps = amps * half_kick
-        amps = sfft.ifftn(drift * sfft.fftn(amps, workers=2), workers=2)
-        amps = amps * half_kick
-        intensity += np.abs(amps[det_col, :]) ** 2 * config.dt
+
+    def accumulate(amps):
+        intensity[:] += np.abs(amps[det_col, :]) ** 2 * config.dt
+
+    amps = _strang_propagate(psi0, u, config.mass, config.hbar, config.dt, config.steps,
+                             on_drift=accumulate)
 
     dv = grid.cell_volume
     final_norm = float(np.sum(np.abs(amps) ** 2) * dv)
@@ -301,26 +296,21 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     separation = float(spec["slit_separation"])
     wavelength = 2.0 * np.pi * config.hbar / p0x
     distance = detector_x - wall_x
+    no_fringes = DiffractionResult(
+        positions=y_axis, intensity=intensity,
+        fringe_spacing=None, fraunhofer_spacing=None, relative_error=None,
+        final_norm=final_norm, transmitted_fraction=transmitted, fresnel_number=None,
+    )
     if height == 0.0:
         warnings.warn("barrier height is zero: no wall, skipping interference analysis")
-        return DiffractionResult(
-            positions=y_axis, intensity=intensity,
-            fringe_spacing=None, fraunhofer_spacing=None, relative_error=None,
-            final_norm=final_norm, transmitted_fraction=transmitted,
-            fresnel_number=None, details="no wall",
-        )
+        return dataclasses.replace(no_fringes, details="no wall")
     if transmitted < 1e-6:
         raise RuntimeError(
             f"no transmitted amplitude past the wall (fraction {transmitted:.3e}); "
             "barrier too high or too thick"
         )
     if separation == 0.0:
-        return DiffractionResult(
-            positions=y_axis, intensity=intensity,
-            fringe_spacing=None, fraunhofer_spacing=None, relative_error=None,
-            final_norm=final_norm, transmitted_fraction=transmitted,
-            fresnel_number=None, details="single slit: no two-slit fringe spacing",
-        )
+        return dataclasses.replace(no_fringes, details="single slit: no two-slit fringe spacing")
 
     fresnel = separation**2 / (wavelength * distance)
     predicted = wavelength * distance / separation
@@ -328,16 +318,13 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     measured, peaks = extract_fringe_spacing(y_axis[window], intensity[window])
     if measured is None:
         raise RuntimeError("could not locate interference peaks on the detector line")
-    rel_error = abs(measured - predicted) / predicted
     details = (
         f"peaks={len(peaks)} transmitted={transmitted:.4f} "
         f"fresnel={fresnel:.3f} wavelength={wavelength:.6e}"
     )
-    return DiffractionResult(
-        positions=y_axis, intensity=intensity,
-        fringe_spacing=measured, fraunhofer_spacing=predicted,
-        relative_error=rel_error, final_norm=final_norm,
-        transmitted_fraction=transmitted, fresnel_number=fresnel,
+    return dataclasses.replace(
+        no_fringes, fringe_spacing=measured, fraunhofer_spacing=predicted,
+        relative_error=abs(measured - predicted) / predicted, fresnel_number=fresnel,
         details=details,
     )
 

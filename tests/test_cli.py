@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectralqm
+from spectralqm import cli
 from spectralqm.cli import main
 
 
@@ -67,6 +72,30 @@ def test_evolve_writes_expected_csv(tmp_path, harmonic_config_path):
     assert rows[1][7] != "" and rows[1][8] != ""
     energies = np.array([float(r[6]) for r in rows])
     assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-8
+
+
+def test_evolve_residual_columns_match_three_point_formula(tmp_path):
+    path = write_config(tmp_path, "heavy.json", {
+        "name": "heavy-cli",
+        "grid": {"dim": 1, "n": 128, "length": 20.0, "origin": -10.0},
+        "potential": {"kind": "harmonic", "omega": 1.5},
+        "initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.5, "sigma": 1.0},
+        "dt": 1e-3,
+        "steps": 300,
+        "record_every": 3,
+        "mass": 2.0,
+    })
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "heavy-cli_trajectory.csv")
+    t, x, p, f = (np.array([float(r[c]) for r in rows]) for c in (0, 2, 3, 5))
+    h = t[1] - t[0]
+    v_expected = np.abs((x[2:] - x[:-2]) / (2 * h) - p[1:-1] / 2.0)
+    f_expected = np.abs((p[2:] - p[:-2]) / (2 * h) - f[1:-1])
+    v_resid = np.array([float(r[7]) for r in rows[1:-1]])
+    f_resid = np.array([float(r[8]) for r in rows[1:-1]])
+    assert np.array_equal(v_resid, v_expected)
+    assert np.array_equal(f_resid, f_expected)
 
 
 def test_evolve_csv_is_strict_rfc4180(tmp_path, harmonic_config_path):
@@ -157,6 +186,61 @@ def test_spectrum_too_many_levels_is_usage_error(tmp_path, free_config_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_spectrum_2d_harmonic_levels_are_degenerate(tmp_path):
+    path = write_config(tmp_path, "well2d.json", {
+        "name": "well-2d",
+        "grid": {"dim": 2, "n": [16, 16], "length": [10.0, 10.0], "origin": [-5.0, -5.0]},
+        "potential": {"kind": "harmonic", "omega": 1.0},
+        "initial": {"kind": "gaussian", "x0": [0.0, 0.0], "p0": [0.0, 0.0],
+                    "sigma": [1.0, 1.0]},
+        "dt": 1e-3,
+        "steps": 1,
+    })
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--out", str(out), "--levels", "6"]) == 0
+    _, rows = read_csv(out / "well-2d_spectrum.csv")
+    assert [float(r[2]) for r in rows] == [1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+    assert all(float(r[3]) < 1e-6 for r in rows)
+
+
+def test_spectrum_analytic_levels_use_the_mass(tmp_path):
+    # U = omega^2 x^2 / 2 with m = 4, omega = 2 oscillates at omega / sqrt(m) = 1
+    path = write_config(tmp_path, "massive.json", {
+        "name": "massive",
+        "grid": {"dim": 1, "n": 128, "length": 24.0, "origin": -12.0},
+        "potential": {"kind": "harmonic", "omega": 2.0},
+        "initial": {"kind": "gaussian", "x0": 0.0, "p0": 0.0, "sigma": 1.0},
+        "dt": 1e-3,
+        "steps": 1,
+        "mass": 4.0,
+    })
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--out", str(out), "--levels", "3"]) == 0
+    _, rows = read_csv(out / "massive_spectrum.csv")
+    assert [float(r[2]) for r in rows] == [0.5, 1.5, 2.5]
+    assert all(float(r[3]) < 1e-6 for r in rows)
+
+
+def test_spectrum_level_check_precedes_dense_build(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, "big.json", {
+        "name": "big",
+        "grid": {"dim": 2, "n": [64, 64], "length": [10.0, 10.0], "origin": [-5.0, -5.0]},
+        "potential": {"kind": "harmonic", "omega": 1.0},
+        "initial": {"kind": "gaussian", "x0": [0.0, 0.0], "p0": [0.0, 0.0],
+                    "sigma": [1.0, 1.0]},
+        "dt": 1e-3,
+        "steps": 1,
+    })
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("to_dense called before the level check")
+
+    monkeypatch.setattr(cli, "to_dense", no_dense)
+    assert main(["spectrum", "--config", path, "--levels", "4097",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "4097 levels" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -241,3 +325,12 @@ def test_diffract_single_slit_nulls_fringe_fields(tmp_path):
 
 def test_usage_error_without_subcommand():
     assert main([]) == 2
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import and only fringe analysis needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(spectralqm.__file__).parents[1]))
+    code = "import sys, spectralqm.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

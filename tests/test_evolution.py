@@ -121,6 +121,47 @@ def test_split_step_convergence_order(harmonic_setup):
     assert 3.5 < e1 / e2 < 4.5
 
 
+def plain_strang(psi0, u, mass, hbar, dt, steps):
+    """Unfused Strang loop (half-kick, drift, half-kick); yields every state from t=0."""
+    k2 = sum(k**2 for k in psi0.grid.k_meshes)
+    half_kick = np.exp(-1j * u * dt / (2.0 * hbar))
+    drift = np.exp(-1j * hbar * k2 * dt / (2.0 * mass))
+    amps = psi0.amps.astype(complex)
+    yield amps
+    for _ in range(steps):
+        amps = half_kick * np.fft.ifftn(drift * np.fft.fftn(half_kick * amps))
+        yield amps
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 60])
+def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every):
+    # merged kicks are split again at record points and at the last step
+    grid, u, force = harmonic_setup
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8, mass=2.0)
+    dt, steps = 1e-2, 60
+    reference = list(plain_strang(psi0, u, 2.0, 1.0, dt, steps))
+    traj = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force])
+    assert len(traj.states) == steps // record_every + 1
+    for t, state in zip(traj.times, traj.states):
+        assert np.max(np.abs(state.amps - reference[round(t / dt)])) <= 1e-12
+    final = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force],
+                       store_states=False).states[-1]
+    assert np.max(np.abs(final.amps - reference[-1])) <= 1e-12
+
+
+def test_split_step_leaves_inputs_unchanged(harmonic_setup):
+    grid, u, force = harmonic_setup
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
+    amps0, u0 = psi0.amps.copy(), u.copy()
+    traj = split_step(psi0, u, 1.0, 1.0, 1e-3, 20, 5, force_samples=[force])
+    stored = [state.amps.copy() for state in traj.states]
+    split_step(psi0, u, 1.0, 1.0, 1e-3, 20, 5, force_samples=[force], store_states=False)
+    assert np.array_equal(psi0.amps, amps0)
+    assert np.array_equal(u, u0)
+    assert np.array_equal(stored[0], amps0)
+    assert all(np.array_equal(state.amps, kept) for state, kept in zip(traj.states, stored))
+
+
 def test_trajectory_validates_times():
     grid = make_grid(1, 16, 4.0, 0.0)
     psi = gaussian_packet(grid, 2.0, 0.0, 0.3)

@@ -13,7 +13,9 @@ from spectralqm import (
     run_diffraction,
     single_slit_config,
 )
+from spectralqm.evolution import _strang_propagate
 from spectralqm.scenarios import extract_fringe_spacing
+from test_evolution import plain_strang
 
 
 def harmonic_config(**overrides):
@@ -143,6 +145,15 @@ def test_run_is_deterministic():
     assert np.array_equal(a.states[-1].amps, b.states[-1].amps)
 
 
+def test_run_streamed_records_match_stored():
+    cfg = harmonic_config()
+    streamed = run(cfg, store_states=False)
+    stored = run(cfg, store_states=True)
+    for field in ("times", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy"):
+        assert np.array_equal(getattr(streamed, field), getattr(stored, field))
+    assert len(streamed.states) == 1 and len(stored.states) == len(stored.times)
+
+
 def test_run_free_packet_momentum_constant():
     cfg = harmonic_config(
         potential={"kind": "free"},
@@ -212,6 +223,36 @@ def test_two_slit_pattern_symmetric(fast_two_slit_result):
     i = fast_two_slit_result.intensity
     mirrored = np.roll(i[::-1], 1)  # partner of y_j is -y_j on the periodic axis
     assert np.max(np.abs(i - mirrored)) / np.max(i) < 0.02
+
+
+def test_run_diffraction_is_byte_identical(fast_two_slit_result):
+    again = run_diffraction(fast_two_slit_config())
+    assert again.intensity.tobytes() == fast_two_slit_result.intensity.tobytes()
+
+
+def test_kernel_detector_intensity_matches_plain_strang_loop():
+    # the detector row is read after the drift, before the merged kick
+    cfg = fast_two_slit_config()
+    cfg = dataclasses.replace(cfg, grid=dict(cfg.grid, n=[128, 128]))
+    grid, u, psi0 = build(cfg)
+    amps0, u0 = psi0.amps.copy(), u.copy()
+    det_col = int(np.argmin(np.abs(grid.axis_points(0) - 0.08)))
+    intensity = np.zeros(grid.n[1])
+
+    def accumulate(amps):
+        intensity[:] += np.abs(amps[det_col, :]) ** 2 * cfg.dt
+
+    final = _strang_propagate(psi0, u, cfg.mass, cfg.hbar, cfg.dt, cfg.steps,
+                              on_drift=accumulate)
+    expected = np.zeros(grid.n[1])
+    for step, amps in enumerate(plain_strang(psi0, u, cfg.mass, cfg.hbar, cfg.dt, cfg.steps)):
+        if step:
+            expected += np.abs(amps[det_col, :]) ** 2 * cfg.dt
+    assert np.max(expected) > 0
+    assert np.max(np.abs(intensity - expected)) <= 1e-12 * np.max(expected)
+    assert np.max(np.abs(final - amps)) <= 1e-12 * np.max(np.abs(amps))
+    assert np.array_equal(psi0.amps, amps0)
+    assert np.array_equal(u, u0)
 
 
 def test_single_slit_pattern():
