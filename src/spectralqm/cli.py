@@ -178,9 +178,10 @@ def cmd_spectrum(args) -> int:
     config = _scenario_from_args(args)
     g = config.grid
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
-    if args.levels > grid.size:
-        print(f"error: requested {args.levels} levels but the matrix has "
-              f"dimension {grid.size}", file=sys.stderr)
+    if not 1 <= args.levels <= grid.size:
+        print(f"error: requested {args.levels} levels; the matrix has "
+              f"dimension {grid.size}, so 1 to {grid.size} levels are possible",
+              file=sys.stderr)
         return EXIT_USAGE
     u = potential_samples(grid, config.potential)
     h_dense = to_dense(hamiltonian(grid, u, config.mass, config.hbar))

@@ -17,7 +17,7 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .grids import Grid, Wavefunction
-from .operators import DenseOperator, hermiticity_defect, spectral_gradient
+from .operators import DenseOperator, _as_matrix, hermiticity_defect, spectral_gradient
 
 __all__ = [
     "Trajectory",
@@ -65,10 +65,6 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return self.states[0].grid
-
-    @property
-    def record_interval(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
 def _fft_workers(grid: Grid) -> int:
@@ -193,7 +189,7 @@ def split_step(
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """||U^dagger U - I||_F."""
-    m = matrix.matrix if isinstance(matrix, DenseOperator) else np.asarray(matrix)
+    m = _as_matrix(matrix)
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
@@ -229,20 +225,18 @@ def _expm_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
 
 def dense_propagator(h_dense, delta_t: float, hbar: float = 1.0) -> EvolutionOperator:
     """U = exp(-i H delta_t / hbar) for a Hermitian dense H."""
-    grid = h_dense.grid if isinstance(h_dense, DenseOperator) else None
-    h = h_dense.matrix if isinstance(h_dense, DenseOperator) else np.asarray(h_dense)
+    h = _as_matrix(h_dense)
     if h.shape[0] > DENSE_PROPAGATOR_LIMIT:
         raise ValueError(f"dense propagator limited to {DENSE_PROPAGATOR_LIMIT} points")
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_PRE_TOL:
         raise ValueError(f"dense propagator needs Hermitian H (defect {defect:.3e})")
     u = _expm_hermitian(h, -1j * delta_t / hbar)
-    return EvolutionOperator(u, 0.0, delta_t, grid)
+    return EvolutionOperator(u, 0.0, delta_t, getattr(h_dense, "grid", None))
 
 
 def _hermitian_at(h_of_t, t: float) -> np.ndarray:
-    h = h_of_t(t)
-    h = h.matrix if isinstance(h, DenseOperator) else np.asarray(h)
+    h = _as_matrix(h_of_t(t))
     defect = hermiticity_defect(h)
     if defect > 1e-8:
         raise ValueError(f"H(t={t}) is not Hermitian (defect {defect:.3e})")
@@ -316,14 +310,14 @@ def spectrum(h_dense: DenseOperator, n_levels: int) -> list[tuple[float, Wavefun
     energies ascending.
     """
     h = h_dense.matrix
+    grid = h_dense.grid
+    if grid is None:
+        raise ValueError("spectrum needs a DenseOperator with a grid reference")
+    if not 1 <= n_levels <= h.shape[0]:
+        raise ValueError(f"n_levels must be in [1, {h.shape[0]}], got {n_levels}")
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_PRE_TOL:
         raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
-    if h_dense.grid is None:
-        raise ValueError("spectrum needs a DenseOperator with a grid reference")
-    if n_levels > h.shape[0]:
-        raise ValueError(f"n_levels {n_levels} exceeds matrix dimension {h.shape[0]}")
-    grid = h_dense.grid
     evals, vecs = sla.eigh(h)
     out = []
     scale = 1.0 / np.sqrt(grid.cell_volume)

@@ -1,5 +1,7 @@
 """The named check suite: positive cases, negative controls, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from spectralqm import (
     split_step,
     to_dense,
 )
+from spectralqm import checks
 from spectralqm.checks import (
     check_evolution_operator,
     check_gauge_shift,
@@ -313,15 +316,47 @@ def test_gauge_shift_check(harmonic):
     assert report.passed and report.residual < 1e-10
 
 
+def test_gauge_shift_sees_a_sign_flip(harmonic, monkeypatch):
+    grid, u, force = harmonic
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 1.0)
+    real_split_step = checks.split_step
+    calls = []
+
+    def flip_second_run(*args, **kwargs):
+        trajectory = real_split_step(*args, **kwargs)
+        calls.append(trajectory)
+        if len(calls) == 2:
+            # a mirrored run: every vector observable changes sign, so the
+            # Ehrenfest residuals match and only the signed means differ
+            trajectory = dataclasses.replace(
+                trajectory, x_mean=-trajectory.x_mean, p_mean=-trajectory.p_mean,
+                f_mean=-trajectory.f_mean)
+        return trajectory
+
+    monkeypatch.setattr(checks, "split_step", flip_second_run)
+    report = check_gauge_shift(grid, u, psi0, 1e-3, 500, 10, force_samples=[force])
+    assert len(calls) == 2
+    assert not report.passed and report.residual > 1.0
+
+
+EVOLUTION_REPORTS = {
+    "evolution-unitarity", "evolution-composition", "evolution-inverse",
+    "generator-constant", "generator-driven", "generator-hermiticity",
+}
+
+
 def test_evolution_operator_reports():
     reports = check_evolution_operator(16, length=8.0, n_slices=32)
-    names = {r.name for r in reports}
-    assert names == {
-        "evolution-unitarity", "evolution-composition", "evolution-inverse",
-        "generator-constant", "generator-driven", "generator-hermiticity",
-    }
+    assert {r.name for r in reports} == EVOLUTION_REPORTS
     for r in reports:
         assert r.passed, f"{r.name}: {r.residual} > {r.tolerance}"
+
+
+def test_evolution_operator_zero_tolerance_scale_fails_every_report():
+    reports = check_evolution_operator(16, length=8.0, n_slices=32, tolerance_scale=0.0)
+    assert {r.name for r in reports} == EVOLUTION_REPORTS
+    assert not any(r.passed for r in reports)
+    assert all(r.tolerance == 0.0 for r in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,12 @@ def test_spectrum_level_check_precedes_dense_build(tmp_path, monkeypatch, capsys
         raise AssertionError("to_dense called before the level check")
 
     monkeypatch.setattr(cli, "to_dense", no_dense)
-    assert main(["spectrum", "--config", path, "--levels", "4097",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "4097 levels" in capsys.readouterr().err
+    for levels in ("4097", "0", "-1"):
+        out = tmp_path / f"o{levels}"
+        assert main(["spectrum", "--config", path, "--levels", levels,
+                     "--out", str(out)]) == 2
+        assert f"requested {levels} levels" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

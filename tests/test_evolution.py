@@ -1,5 +1,7 @@
 """Split-step propagation, dense propagators, evolution operators, spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -360,5 +362,12 @@ def test_spectrum_states_orthogonal():
 def test_spectrum_rejects_too_many_levels():
     grid = make_grid(1, 16, 8.0, -4.0)
     h = to_dense(hamiltonian(grid, np.zeros(grid.shape)))
-    with pytest.raises(ValueError):
-        spectrum(h, 17)
+    for n_levels in (17, 0, -1):
+        with pytest.raises(ValueError, match="n_levels"):
+            spectrum(h, n_levels)
+    # the level count is checked before the costlier Hermiticity test
+    skew = dataclasses.replace(h, matrix=h.matrix + np.triu(h.matrix, 1))
+    with pytest.raises(ValueError, match="n_levels"):
+        spectrum(skew, 0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectrum(skew, 1)

@@ -157,16 +157,24 @@ def test_apply_rejects_grid_mismatch(grid):
         apply(position_op(grid), psi)
 
 
-def test_dense_matches_apply():
-    grid = make_grid(1, 64, 16.0, -8.0)
+@pytest.mark.parametrize("dim,n,length,origin", [
+    (1, 64, 16.0, -8.0),
+    (2, [8, 4], [8.0, 6.0], [-4.0, -3.0]),
+], ids=["1d-64", "2d-8x4"])
+def test_dense_matches_apply(dim, n, length, origin):
+    grid = make_grid(dim, n, length, origin)
     rng = np.random.default_rng(8)
     psi = random_state(grid, rng)
-    for op in (position_op(grid), momentum_op(grid), kinetic_op(grid),
-               hamiltonian(grid, np.cos(grid.axis_points(0)))):
+    last = grid.dim - 1
+    for op in (position_op(grid), position_op(grid, last), momentum_op(grid),
+               momentum_op(grid, last), kinetic_op(grid),
+               hamiltonian(grid, np.cos(grid.meshes[0]))):
         dense = to_dense(op)
-        direct = apply(op, psi).amps
-        via_matrix = dense.matrix @ psi.amps
+        direct = apply(op, psi).amps.ravel()
+        via_matrix = dense.matrix @ psi.amps.ravel()
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
+    dense = to_dense(ScaledIdentity(2.5), grid).matrix
+    assert np.array_equal(dense, 2.5 * np.eye(grid.size))
 
 
 def test_dense_diagonal_is_diagonal(grid):
