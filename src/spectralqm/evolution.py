@@ -3,8 +3,9 @@ the two-time evolution operator with its generator.
 
 The split-step integrator uses Strang splitting (exact potential half-kick,
 exact kinetic drift in k-space, half-kick), so the norm is conserved to
-roundoff and the global error is O(dt^2).  Dense propagators go through a
-Hermitian eigendecomposition, which keeps them unitary to roundoff as well.
+roundoff and the global error is O(dt^2); its records are reduced a block of
+states at a time.  Dense propagators go through a Hermitian eigendecomposition,
+which keeps them unitary to roundoff as well.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ __all__ = [
 DENSE_PROPAGATOR_LIMIT = 1024
 UNITARITY_TOL = 1e-9
 HERMITICITY_PRE_TOL = 1e-10
+# split_step reduces its records a block of states at a time: about this many
+# bytes of complex amplitudes per block, and never fewer than one state.
+RECORD_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("record times must be strictly increasing")
         if len(self.norm) != n:
             raise ValueError("record arrays must have one entry per time")
@@ -72,22 +76,11 @@ def _fft_workers(grid: Grid) -> int:
     return 2 if grid.dim == 2 else 1
 
 
-def _records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, hbar):
-    """Expectation values computed directly from raw amplitudes (fast path)."""
-    dv = grid.cell_volume
-    density = np.abs(amps) ** 2
-    norm = float(np.sum(density) * dv)
-    x_mean = np.array([float(np.sum(grid.meshes[a] * density) * dv) for a in range(grid.dim)])
-    spec = sfft.fftn(amps, workers=_fft_workers(grid))
-    spec_density = np.abs(spec) ** 2
-    # |fft|^2 * dx^dim / n_total equals |Phi|^2 dk^dim for the library transform.
-    k_weight = dv / grid.size
-    p_mean = np.array([float(hbar * np.sum(k * spec_density) * k_weight)
-                       for k in grid.k_derivative_meshes])
-    u_mean = float(np.sum(u_samples * density) * dv)
-    f_mean = np.array([float(np.sum(f * density) * dv) for f in force_samples])
-    energy = float(np.sum(kinetic_k * spec_density) * k_weight) + u_mean
-    return norm, x_mean, p_mean, u_mean, f_mean, energy
+def _weighted_sums(states, weights):
+    """sum_j |states[r]_j|^2 weights[c]_j for every state r and weight c, as one product."""
+    density = np.abs(states)
+    density *= density
+    return density.reshape(len(states), -1) @ weights.reshape(len(weights), -1).T
 
 
 def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
@@ -137,14 +130,16 @@ def split_step(
 
     Per step: half-kick exp(-i U dt / 2 hbar), exact kinetic drift in
     k-space, half-kick.  Records (norm, <x>, <p>, <U>, <F>, <H>) at t=0 and
-    every `record_every` steps.
+    every `record_every` steps.  Recorded states fill a block of about
+    RECORD_BLOCK_BYTES, reduced at once when full and at the last record:
+    |psi|^2 against 1, x_a, U, F_a, then one batched FFT and |psi_k|^2 against k_a, T(k).
 
     force_samples: per-axis -dU/dx arrays; computed by spectral
     differentiation of u_samples when omitted.  Supply the analytic
     derivative for potentials that are not periodic-smooth.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if record_every < 1:
@@ -159,31 +154,47 @@ def split_step(
     elif grid.dim == 1 and np.ndim(force_samples) == 1:
         force_samples = [force_samples]
     force_samples = [np.asarray(f, dtype=float) for f in force_samples]
-    kinetic_k = hbar**2 * grid.k_squared / (2.0 * mass)
-
-    times, states, rows = [], [], []
+    dim = grid.dim
+    x_weights = np.stack([np.ones(grid.shape), *grid.meshes, u_samples, *force_samples])
+    k_weights = np.stack([*grid.k_derivative_meshes, hbar**2 * grid.k_squared / (2.0 * mass)])
+    times = np.arange(0, steps + 1, record_every) * dt
+    x_moments = np.empty((len(times), len(x_weights)))
+    k_moments = np.empty((len(times), len(k_weights)))
+    block_rows = max(1, RECORD_BLOCK_BYTES // (16 * grid.size))
+    block = np.empty((min(block_rows, len(times)), *grid.shape), dtype=complex)
+    states = []
 
     def record(step, amps):
-        times.append(step * dt)
+        index = step // record_every
         if store_states:
             states.append(Wavefunction(grid, amps.copy(), hbar=hbar, mass=mass))
-        rows.append(_records_from_amps(grid, amps, u_samples, force_samples, kinetic_k, hbar))
+        row = index % len(block)
+        block[row] = amps
+        if row == len(block) - 1 or index == len(times) - 1:
+            start, rows = index - row, block[:row + 1]
+            x_moments[start:index + 1] = _weighted_sums(rows, x_weights)
+            spec = sfft.fftn(rows, axes=tuple(range(1, dim + 1)), workers=_fft_workers(grid),
+                             overwrite_x=True)
+            k_moments[start:index + 1] = _weighted_sums(spec, k_weights)
 
     record(0, psi0.amps)
     amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record)
     if not store_states:
         states = [Wavefunction(grid, amps, hbar=hbar, mass=mass)]
 
-    norm, x_mean, p_mean, u_mean, f_mean, energy = (np.array(col) for col in zip(*rows))
+    # |fft|^2 * dx^dim / n_total equals |Phi|^2 dk^dim for the library transform.
+    x_moments *= grid.cell_volume
+    k_moments *= grid.cell_volume / grid.size
+    u_mean = x_moments[:, 1 + dim]
     return Trajectory(
-        times=np.array(times),
+        times=times,
         states=tuple(states),
-        norm=norm,
-        x_mean=x_mean,
-        p_mean=p_mean,
+        norm=x_moments[:, 0],
+        x_mean=x_moments[:, 1:1 + dim],
+        p_mean=hbar * k_moments[:, :dim],
         u_mean=u_mean,
-        f_mean=f_mean,
-        energy=energy,
+        f_mean=x_moments[:, 2 + dim:],
+        energy=k_moments[:, dim] + u_mean,
     )
 
 
@@ -318,7 +329,7 @@ def spectrum(h_dense: DenseOperator, n_levels: int) -> list[tuple[float, Wavefun
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_PRE_TOL:
         raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
-    evals, vecs = sla.eigh(h)
+    evals, vecs = sla.eigh(h, subset_by_index=[0, n_levels - 1])
     out = []
     scale = 1.0 / np.sqrt(grid.cell_volume)
     for i in range(n_levels):

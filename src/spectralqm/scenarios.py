@@ -8,6 +8,7 @@ fully deterministic, so identical configs give bit-identical results.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,25 @@ _INITIAL_KEYS = {"kind", "x0", "p0", "sigma"}
 _GRID_KEYS = {"dim", "n", "length", "origin"}
 
 
-def _check_keys(data: dict, allowed: set, where: str):
+def _check_keys(data, allowed: set, where: str, required: set = frozenset()):
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    missing = required - set(data)
+    if missing:
+        raise ValueError(f"missing key {sorted(missing)[0]!r} in {where}")
+
+
+def _check_numbers(value, where: str, integer: bool = False, positive: bool = False):
+    """value, or each item of a list, must be a finite number (an integer if asked)."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    for item in value if isinstance(value, (list, tuple)) else [value]:
+        if (isinstance(item, bool) or not isinstance(item, kinds) or not math.isfinite(item)
+                or (positive and item <= 0)):
+            kind = "an integer" if integer else "a finite number"
+            raise ValueError(f"{where} must be {kind}{' > 0' if positive else ''}, got {item!r}")
 
 
 @dataclass(frozen=True)
@@ -67,30 +83,50 @@ class ScenarioConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        _check_keys(self.grid, _GRID_KEYS, "grid")
-        kind = self.potential.get("kind")
+        """Validate every input once, so a bad config fails here with a ValueError."""
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"name must be a plain file stem, without a path separator, "
+                             f"got {name!r}")
+        _check_keys(self.grid, _GRID_KEYS, "grid", required=_GRID_KEYS)
+        if not isinstance(self.grid["dim"], int) or self.grid["dim"] not in (1, 2):
+            raise ValueError(f"grid.dim must be 1 or 2, got {self.grid['dim']!r}")
+        _check_numbers(self.grid["n"], "grid.n", integer=True, positive=True)
+        _check_numbers(self.grid["length"], "grid.length", positive=True)
+        _check_numbers(self.grid["origin"], "grid.origin")
+        kind = self.potential.get("kind") if isinstance(self.potential, dict) else None
         if kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {kind!r}")
-        _check_keys(self.potential, _POTENTIAL_KEYS[kind] | {"kind"}, f"potential[{kind}]")
-        if self.initial.get("kind") != "gaussian":
-            raise ValueError(f"unknown initial state kind {self.initial.get('kind')!r}")
-        _check_keys(self.initial, _INITIAL_KEYS, "initial")
-        if kind == "slit_wall" and self.grid.get("dim") != 2:
+        keys = _POTENTIAL_KEYS[kind]
+        _check_keys(self.potential, keys | {"kind"}, f"potential[{kind}]",
+                    required=keys if kind == "slit_wall" else set())
+        for key, value in self.potential.items():
+            if key == "positions":
+                _check_keys(value, {"wall", "detector"}, "potential.positions",
+                            required={"wall", "detector"})
+                _check_numbers(list(value.values()), "potential.positions")
+            elif key != "kind":
+                _check_numbers(value, f"potential.{key}")
+        _check_keys(self.initial, _INITIAL_KEYS, "initial", required=_INITIAL_KEYS)
+        if self.initial["kind"] != "gaussian":
+            raise ValueError(f"unknown initial state kind {self.initial['kind']!r}")
+        for key in ("x0", "p0", "sigma"):
+            _check_numbers(self.initial[key], f"initial.{key}", positive=key == "sigma")
+        if kind == "slit_wall" and self.grid["dim"] != 2:
             raise ValueError("slit_wall potentials require dim = 2")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.record_every < 1 or self.steps % self.record_every != 0:
+        for key in ("dt", "hbar", "mass"):
+            _check_numbers(getattr(self, key), key, positive=True)
+        _check_numbers(self.steps, "steps", integer=True, positive=True)
+        _check_numbers(self.record_every, "record_every", integer=True, positive=True)
+        _check_numbers(self.seed, "seed", integer=True)
+        if self.steps % self.record_every != 0:
             raise ValueError("record_every must divide steps")
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        _check_keys(data, known, "scenario config")
-        missing = {"name", "grid", "potential", "initial", "dt", "steps"} - set(data)
-        if missing:
-            raise ValueError(f"missing scenario config key {sorted(missing)[0]!r}")
+        _check_keys(data, known, "scenario config",
+                    required={"name", "grid", "potential", "initial", "dt", "steps"})
         return ScenarioConfig(**data)
 
     def as_dict(self) -> dict:
@@ -305,7 +341,7 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
         warnings.warn("barrier height is zero: no wall, skipping interference analysis")
         return dataclasses.replace(no_fringes, details="no wall")
     if transmitted < 1e-6:
-        raise RuntimeError(
+        raise ValueError(
             f"no transmitted amplitude past the wall (fraction {transmitted:.3e}); "
             "barrier too high or too thick"
         )

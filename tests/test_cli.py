@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file formats, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,18 +22,21 @@ def write_config(tmp_path: Path, name: str, data: dict) -> str:
     return str(path)
 
 
+HARMONIC_CONFIG = {
+    "name": "harmonic-cli",
+    "grid": {"dim": 1, "n": 256, "length": 20.0, "origin": -10.0},
+    "potential": {"kind": "harmonic", "omega": 1.0},
+    "initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.0, "sigma": 1.0},
+    "dt": 1e-4,
+    "steps": 400,
+    "record_every": 10,
+    "seed": 7,
+}
+
+
 @pytest.fixture
 def harmonic_config_path(tmp_path):
-    return write_config(tmp_path, "harmonic.json", {
-        "name": "harmonic-cli",
-        "grid": {"dim": 1, "n": 256, "length": 20.0, "origin": -10.0},
-        "potential": {"kind": "harmonic", "omega": 1.0},
-        "initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.0, "sigma": 1.0},
-        "dt": 1e-4,
-        "steps": 400,
-        "record_every": 10,
-        "seed": 7,
-    })
+    return write_config(tmp_path, "harmonic.json", HARMONIC_CONFIG)
 
 
 @pytest.fixture
@@ -153,6 +157,40 @@ def test_evolve_unknown_config_key_names_it(tmp_path, capsys):
     })
     assert main(["evolve", "--config", path]) == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+def grid_without(key):
+    return {k: v for k, v in HARMONIC_CONFIG["grid"].items() if k != key}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"dt": float("nan")}, "dt"),
+    ({"dt": "1e-3"}, "dt"),
+    ({"steps": 400.0}, "steps"),
+    ({"record_every": 10.0}, "record_every"),
+    ({"grid": grid_without("n")}, "'n'"),
+    ({"grid": grid_without("length")}, "'length'"),
+    ({"grid": grid_without("origin")}, "'origin'"),
+    ({"initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.0}}, "'sigma'"),
+    ({"potential": {"kind": "harmonic", "omega": "1.0"}}, "omega"),
+], ids=["dt-nan", "dt-string", "steps-float", "record-every-float", "grid-without-n",
+        "grid-without-length", "grid-without-origin", "initial-without-sigma",
+        "omega-string"])
+def test_evolve_bad_config_value_is_usage_error(tmp_path, capsys, overrides, named):
+    path = write_config(tmp_path, "bad.json", dict(HARMONIC_CONFIG, **overrides))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../../escape", "sub/escape", "..\\escape", "..", "."])
+def test_evolve_name_must_be_a_plain_file_stem(tmp_path, name):
+    path = write_config(tmp_path, "bad.json", dict(HARMONIC_CONFIG, name=name))
+    before = set(tmp_path.rglob("*"))
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+    assert set(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +362,17 @@ def test_diffract_single_slit_nulls_fringe_fields(tmp_path):
     assert summary["fraunhofer_prediction"] is None
     # intensity CSV is still emitted
     assert (out / "two-slit-fast_intensity.csv").exists()
+
+
+def test_diffract_blocked_wall_is_usage_error(tmp_path, capsys):
+    from test_scenarios import fast_two_slit_config
+
+    cfg = dataclasses.replace(fast_two_slit_config(slit_width=1e-9), steps=400, record_every=400)
+    path = write_config(tmp_path, "blocked.json", cfg.as_dict())
+    out = tmp_path / "out"
+    assert main(["diffract", "--config", path, "--out", str(out)]) == 2
+    assert "no transmitted amplitude" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_without_subcommand():

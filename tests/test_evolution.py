@@ -23,6 +23,7 @@ from spectralqm import (
     to_dense,
     unitarity_defect,
 )
+from spectralqm.evolution import RECORD_BLOCK_BYTES
 from spectralqm.grids import norm_squared
 
 
@@ -106,6 +107,9 @@ def test_split_step_rejects_bad_arguments(harmonic_setup):
         split_step(psi0, u, 1.0, 1.0, -1e-3, 10)
     with pytest.raises(ValueError):
         split_step(psi0, u, 1.0, 1.0, 1e-3, 0)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            split_step(psi0, u, 1.0, 1.0, dt, 10)
 
 
 def test_split_step_convergence_order(harmonic_setup):
@@ -135,6 +139,37 @@ def plain_strang(psi0, u, mass, hbar, dt, steps):
         yield amps
 
 
+def plain_records(grid, amps, u, force, mass, hbar):
+    """One record by separate sums: norm, <x_a>, <p_a>, <U>, <F_a>, <H>."""
+    dv = grid.cell_volume
+    density = np.abs(amps) ** 2
+    # |fft|^2 dx^dim / n_total is |Phi|^2 dk^dim for the library transform
+    spec_density = np.abs(np.fft.fftn(amps)) ** 2 * dv / grid.size
+    u_mean = np.sum(u * density) * dv
+    kinetic = np.sum(hbar**2 * grid.k_squared / (2.0 * mass) * spec_density)
+    return [np.sum(density) * dv,
+            *(np.sum(x * density) * dv for x in grid.meshes),
+            *(hbar * np.sum(k * spec_density) for k in grid.k_derivative_meshes),
+            u_mean,
+            *(np.sum(f * density) * dv for f in force),
+            kinetic + u_mean]
+
+
+def assert_records_match(traj, states, u, force, mass, hbar):
+    """traj's records equal plain_records of the given states to 1e-12 of each column's size."""
+    grid = traj.grid
+    got = np.column_stack([traj.norm, traj.x_mean, traj.p_mean, traj.u_mean, traj.f_mean,
+                           traj.energy])
+    want = np.array([plain_records(grid, amps, u, force, mass, hbar) for amps in states])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+
+def assert_same_records(a, b):
+    for field in ("times", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 @pytest.mark.parametrize("record_every", [1, 7, 60])
 def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every):
     # merged kicks are split again at record points and at the last step
@@ -146,9 +181,39 @@ def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every):
     assert len(traj.states) == steps // record_every + 1
     for t, state in zip(traj.times, traj.states):
         assert np.max(np.abs(state.amps - reference[round(t / dt)])) <= 1e-12
-    final = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force],
-                       store_states=False).states[-1]
-    assert np.max(np.abs(final.amps - reference[-1])) <= 1e-12
+    assert_records_match(traj, reference[::record_every], u, [force], 2.0, 1.0)
+    streamed = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force],
+                          store_states=False)
+    assert np.max(np.abs(streamed.states[-1].amps - reference[-1])) <= 1e-12
+    assert_same_records(streamed, traj)
+
+
+# a 1-D n = 256 state is 4 KiB, so a block holds this many records
+BLOCK_256 = RECORD_BLOCK_BYTES // (16 * 256)
+
+
+@pytest.mark.parametrize("records", [BLOCK_256 - 1, BLOCK_256, 2 * BLOCK_256 + 3])
+def test_split_step_records_across_record_blocks(harmonic_setup, records):
+    # fewer records than a block, exactly one block, and two blocks plus a partial one
+    grid, u, force = harmonic_setup
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
+    traj = split_step(psi0, u, 1.0, 1.0, 1e-3, records - 1, force_samples=[force])
+    assert len(traj.times) == records
+    assert_records_match(traj, [state.amps for state in traj.states], u, [force], 1.0, 1.0)
+    streamed = split_step(psi0, u, 1.0, 1.0, 1e-3, records - 1, force_samples=[force],
+                          store_states=False)
+    assert_same_records(streamed, traj)
+
+
+def test_split_step_records_2d_one_state_per_block():
+    grid = make_grid(2, [512, 256], [20.0, 16.0], [-10.0, -8.0])
+    assert 16 * grid.size > RECORD_BLOCK_BYTES  # a block holds a single state
+    x, y = grid.meshes
+    u, force = 0.5 * (x**2 + 2.0 * y**2), [-x, -2.0 * y]
+    psi0 = gaussian_packet(grid, [1.0, -0.5], [0.5, 1.0], [0.8, 0.7])
+    reference = list(plain_strang(psi0, u, 1.0, 1.0, 1e-2, 3))
+    traj = split_step(psi0, u, 1.0, 1.0, 1e-2, 3, force_samples=force, store_states=False)
+    assert_records_match(traj, reference, u, force, 1.0, 1.0)
 
 
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):
@@ -167,17 +232,18 @@ def test_split_step_leaves_inputs_unchanged(harmonic_setup):
 def test_trajectory_validates_times():
     grid = make_grid(1, 16, 4.0, 0.0)
     psi = gaussian_packet(grid, 2.0, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        Trajectory(
-            times=np.array([0.0, 0.0]),
-            states=(psi, psi),
-            norm=np.ones(2),
-            x_mean=np.zeros((2, 1)),
-            p_mean=np.zeros((2, 1)),
-            u_mean=np.zeros(2),
-            f_mean=np.zeros((2, 1)),
-            energy=np.zeros(2),
-        )
+    for times in ([0.0, 0.0], [0.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="increasing"):
+            Trajectory(
+                times=np.array(times),
+                states=(psi, psi),
+                norm=np.ones(2),
+                x_mean=np.zeros((2, 1)),
+                p_mean=np.zeros((2, 1)),
+                u_mean=np.zeros(2),
+                f_mean=np.zeros((2, 1)),
+                energy=np.zeros(2),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +423,20 @@ def test_spectrum_states_orthogonal():
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(inner(pairs[i][1], pairs[j][1])) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectrum_subset_matches_full_eigh(dim):
+    # 1-D: the harmonic well on 256 points; 2-D: a 16x16 isotropic well, levels 1, 2, 2, 3, 3, 3
+    grid = make_grid(1, 256, 20.0, -10.0) if dim == 1 else make_grid(2, 16, 12.0, -6.0)
+    h = to_dense(hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes)))
+    full = sla.eigh(h.matrix, eigvals_only=True)
+    pairs = spectrum(h, 6)
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:6])) <= 1e-12
+    for energy, state in pairs:
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
+        v = state.amps.ravel()
+        assert np.linalg.norm(h.matrix @ v - energy * v) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_spectrum_rejects_too_many_levels():

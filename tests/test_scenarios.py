@@ -277,7 +277,7 @@ def test_zero_barrier_warns_and_skips_analysis():
 def test_blocked_wall_reports_no_transmission():
     cfg = fast_two_slit_config(slit_width=1e-9)
     cfg = dataclasses.replace(cfg, steps=400, record_every=400)
-    with pytest.raises(RuntimeError, match="no transmitted amplitude"):
+    with pytest.raises(ValueError, match="no transmitted amplitude"):
         run_diffraction(cfg)
 
 
