@@ -38,6 +38,7 @@ from .operators import (
     position_op,
     to_dense,
 )
+from .scenarios import _check_numbers
 from .evolution import (
     Trajectory,
     evolution_operator,
@@ -648,14 +649,28 @@ class VerifyConfig:
     evolution_n: int = 32
     evolution_slices: int = 64
 
+    def __post_init__(self):
+        """Validate every field once, so a bad config fails here with a ValueError."""
+        # an empty list would drop the commutant check from the suite unnoticed
+        if not isinstance(self.commutant_sizes, (list, tuple)) or not self.commutant_sizes:
+            raise ValueError(f"commutant_sizes must be a non-empty list, "
+                             f"got {self.commutant_sizes!r}")
+        object.__setattr__(self, "commutant_sizes", tuple(self.commutant_sizes))
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            # seed 0 is a seed, and tolerance scale 0 is the fail-everything mode
+            positive = field.name not in ("seed", "tolerance_scale")
+            _check_numbers(value, field.name, integer=field.type != "float", positive=positive)
+            if not positive and value < 0:
+                raise ValueError(f"{field.name} must be >= 0, got {value!r}")
+
     @staticmethod
     def from_dict(data: dict) -> "VerifyConfig":
-        known = {f.name for f in dataclasses.fields(VerifyConfig)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"verify config must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in dataclasses.fields(VerifyConfig)}
         if unknown:
             raise ValueError(f"unknown verify config key: {sorted(unknown)[0]!r}")
-        if "commutant_sizes" in data:
-            data = dict(data, commutant_sizes=tuple(data["commutant_sizes"]))
         return VerifyConfig(**data)
 
     def as_dict(self) -> dict:
@@ -668,202 +683,160 @@ def _scaled(tol: float, config: VerifyConfig) -> float:
     return tol * config.tolerance_scale
 
 
-def _harmonic_setup(n, length, x0=1.0, p0=0.0, hbar=1.0, mass=1.0, omega=1.0):
+def _harmonic_setup(n, length):
+    """Grid, potential and force of the unit well, and its coherent state at x0 = 1."""
     grid = make_grid(1, n, length, -length / 2.0)
     x = grid.axis_points(0)
-    u = 0.5 * mass * omega**2 * x**2
-    force = -mass * omega**2 * x
-    sigma = np.sqrt(hbar / (2.0 * mass * omega))  # coherent-state width
-    psi0 = gaussian_packet(grid, x0, p0, sigma, hbar, mass)
-    return grid, u, force, psi0
+    return grid, 0.5 * x**2, -x, gaussian_packet(grid, 1.0, 0.0, np.sqrt(0.5))
+
+
+def _norm_group(config: VerifyConfig) -> list[CheckReport]:
+    """Probability norm under long evolution."""
+    grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
+    traj = split_step(
+        psi0, u, 1.0, 1.0, config.norm_dt, config.norm_steps,
+        config.norm_record_every, force_samples=[force], store_states=False,
+    )
+    return [check_normalization(traj, _scaled(1e-10, config))]
+
+
+def _parseval_group(config: VerifyConfig) -> list[CheckReport]:
+    """Momentum route agreement, worst over random states."""
+    grid = make_grid(1, config.parseval_n, config.norm_length, -config.norm_length / 2)
+    rng = np.random.default_rng(config.seed)
+    reports = [check_parseval_momentum(random_state(grid, rng), _scaled(1e-10, config))
+               for _ in range(config.parseval_states)]
+    worst = max(reports, key=lambda r: r.residual)
+    return [dataclasses.replace(worst, details=f"max over {config.parseval_states} random states")]
+
+
+def _ehrenfest_group(config: VerifyConfig) -> list[CheckReport]:
+    """Velocity and force laws in the harmonic and the quartic well."""
+    grid, *harmonic = _harmonic_setup(config.norm_n, config.norm_length)
+    x = grid.axis_points(0)
+    quartic = (0.25 * x**4, -(x**3), gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0))
+    reports = []
+    for well, (u, force, psi0), tol in (("harmonic", harmonic, 1e-5), ("quartic", quartic, 1e-4)):
+        traj = split_step(
+            psi0, u, 1.0, 1.0, config.ehrenfest_dt, config.ehrenfest_steps,
+            config.ehrenfest_record_every, force_samples=[force], store_states=False,
+        )
+        for check, law in ((check_ehrenfest_velocity, "velocity"), (check_ehrenfest_force, "force")):
+            report = check(traj, _scaled(tol, config))
+            reports.append(dataclasses.replace(report, name=f"ehrenfest-{law}-{well}"))
+    return reports
+
+
+def _commutator_group(config: VerifyConfig) -> list[CheckReport]:
+    """Commutator system on interior Gaussian states."""
+    length = config.commutator_length
+    grid = make_grid(1, config.commutator_n, length, -length / 2)
+    x = grid.axis_points(0)
+    centers = np.linspace(-2.0, 2.0, config.commutator_states)
+    momenta = np.linspace(-1.0, 1.0, config.commutator_states)
+    states = [gaussian_packet(grid, c, p, 1.0, 1.0, 1.0) for c, p in zip(centers, momenta)]
+    return [check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states, force_samples=-x,
+                                    tolerance=_scaled(1e-6, config))]
+
+
+def _commutant_group(config: VerifyConfig) -> list[CheckReport]:
+    """Triviality of the {x, p} commutant at each configured size."""
+    return [
+        dataclasses.replace(check_commutant_uniqueness(size, tolerance=_scaled(1e-8, config)),
+                            name=f"commutant-uniqueness-n{size}")
+        for size in config.commutant_sizes
+    ]
+
+
+def _antihermitian_group(config: VerifyConfig) -> list[CheckReport]:
+    return [check_antihermitian_exponential(config.anti_n, config.anti_trials, seed=config.seed,
+                                            tolerance=_scaled(1e-10, config))]
+
+
+def _field_group(config: VerifyConfig) -> list[CheckReport]:
+    """Field-energy Parseval identity on random fields and on one harmonic."""
+    grid = make_grid(1, config.field_n, 2.0 * np.pi, 0.0)
+    rng = np.random.default_rng(config.seed + 1)
+    worst = max(
+        check_field_energy_parseval(random_smooth_fields(grid, rng), _scaled(1e-12, config)).residual
+        for _ in range(config.field_trials)
+    )
+    # analytic single-harmonic case: total energy must be exactly 1/4
+    e = np.zeros((3, config.field_n))
+    h = np.zeros((3, config.field_n))
+    e[1] = h[2] = np.sin(grid.axis_points(0))
+    w_real = float(np.sum(e**2) + np.sum(h**2)) * grid.cell_volume / (8.0 * np.pi)
+    return [
+        _report("field-energy-parseval", "field-energy", worst, _scaled(1e-12, config),
+                details=f"max over {config.field_trials} random smooth configurations"),
+        _report("field-energy-sine", "field-energy", abs(w_real - 0.25), _scaled(1e-10, config),
+                details=f"w_real={w_real:.15e} expected=0.25"),
+    ]
+
+
+def _superposition_group(config: VerifyConfig) -> list[CheckReport]:
+    """Linearity of the propagator."""
+    grid, u, _, _ = _harmonic_setup(config.norm_n, config.norm_length)
+    psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
+    psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
+    return [check_superposition(grid, u, psi1, psi2, config.ehrenfest_dt, 1000,
+                                tolerance=_scaled(1e-10, config))]
+
+
+def _gauge_group(config: VerifyConfig) -> list[CheckReport]:
+    """A constant shift of the potential."""
+    grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
+    return [check_gauge_shift(grid, u, psi0, config.ehrenfest_dt, 2000,
+                              config.ehrenfest_record_every, force_samples=[force],
+                              tolerance=_scaled(1e-10, config))]
+
+
+def _evolution_group(config: VerifyConfig) -> list[CheckReport]:
+    return check_evolution_operator(config.evolution_n, n_slices=config.evolution_slices,
+                                    tolerance_scale=config.tolerance_scale)
+
+
+def _suite(config: VerifyConfig) -> tuple:
+    """Each group of run_all with the (name, tag) of every report it emits.
+
+    A group takes the config and returns its reports.  It looks the checks,
+    split_step and random_smooth_fields up as module globals when it runs, so
+    rebinding one of them on the module reaches the suite.
+    """
+    return (
+        (_norm_group, [("normalization", "probability-norm")]),
+        (_parseval_group, [("momentum-parseval", "momentum-spectral")]),
+        (_ehrenfest_group, [(f"ehrenfest-{law}-{well}", f"{law}-law")
+                            for well in ("harmonic", "quartic") for law in ("velocity", "force")]),
+        (_commutator_group, [("commutator-system", "generator-equations")]),
+        (_commutant_group, [(f"commutant-uniqueness-n{size}", "commutant-scalars")
+                            for size in config.commutant_sizes]),
+        (_antihermitian_group, [("antihermitian-exponential", "unitary-generator")]),
+        (_field_group, [("field-energy-parseval", "field-energy"),
+                        ("field-energy-sine", "field-energy")]),
+        (_superposition_group, [("superposition", "linearity")]),
+        (_gauge_group, [("gauge-shift", "constant-in-potential")]),
+        (_evolution_group, [(f"evolution-{law}", "evolution-laws")
+                            for law in ("unitarity", "composition", "inverse")]
+                           + [(f"generator-{case}", "generator-extraction")
+                              for case in ("constant", "driven", "hermiticity")]),
+    )
 
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
     """Run every check with the configured sizes; deterministic under the seed.
 
-    Individual check failures (exceptions) are captured in the report list
-    rather than aborting the suite.  Reports come back sorted by name.
+    A group of checks that raises does not abort the suite: each of its
+    checks is reported as failed, under the check's own name and tag, with
+    residual inf, tolerance 0 and an `error:` detail.  Reports come back
+    sorted by name.
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
-
-    def guarded(fn, name, tag):
+    for group, names in _suite(config):
         try:
-            result = fn()
-        except Exception as exc:  # noqa: BLE001 - suite must not abort
-            reports.append(CheckReport(
-                name=name, tag=tag, residual=float("inf"),
-                tolerance=0.0, passed=False, details=f"error: {exc}",
-            ))
-            return
-        if isinstance(result, list):
-            reports.extend(result)
-        else:
-            reports.append(result)
-
-    # probability norm under long evolution
-    def norm_check():
-        grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
-        traj = split_step(
-            psi0, u, 1.0, 1.0, config.norm_dt, config.norm_steps,
-            config.norm_record_every, force_samples=[force], store_states=False,
-        )
-        return check_normalization(traj, _scaled(1e-10, config))
-
-    guarded(norm_check, "normalization", "probability-norm")
-
-    # momentum route agreement on random states
-    def parseval_check():
-        grid = make_grid(1, config.parseval_n, config.norm_length, -config.norm_length / 2)
-        rng = np.random.default_rng(config.seed)
-        worst = None
-        for _ in range(config.parseval_states):
-            r = check_parseval_momentum(random_state(grid, rng), _scaled(1e-10, config))
-            if worst is None or r.residual > worst.residual:
-                worst = r
-        return CheckReport(
-            name="momentum-parseval", tag=worst.tag, residual=worst.residual,
-            tolerance=worst.tolerance, passed=worst.passed,
-            details=f"max over {config.parseval_states} random states",
-        )
-
-    guarded(parseval_check, "momentum-parseval", "momentum-spectral")
-
-    # velocity / force laws, harmonic and quartic
-    def harmonic_traj():
-        grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
-        return split_step(
-            psi0, u, 1.0, 1.0, config.ehrenfest_dt, config.ehrenfest_steps,
-            config.ehrenfest_record_every, force_samples=[force], store_states=False,
-        )
-
-    def quartic_traj():
-        grid = make_grid(1, config.norm_n, config.norm_length, -config.norm_length / 2)
-        x = grid.axis_points(0)
-        u = 0.25 * x**4
-        force = -(x**3)
-        psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0)
-        return split_step(
-            psi0, u, 1.0, 1.0, config.ehrenfest_dt, config.ehrenfest_steps,
-            config.ehrenfest_record_every, force_samples=[force], store_states=False,
-        )
-
-    def ehrenfest_checks():
-        out = []
-        traj = harmonic_traj()
-        for fn, suffix in ((check_ehrenfest_velocity, "velocity"), (check_ehrenfest_force, "force")):
-            r = fn(traj, _scaled(1e-5, config))
-            out.append(dataclasses.replace(r, name=f"ehrenfest-{suffix}-harmonic"))
-        traj = quartic_traj()
-        for fn, suffix in ((check_ehrenfest_velocity, "velocity"), (check_ehrenfest_force, "force")):
-            r = fn(traj, _scaled(1e-4, config))
-            out.append(dataclasses.replace(r, name=f"ehrenfest-{suffix}-quartic"))
-        return out
-
-    guarded(ehrenfest_checks, "ehrenfest", "velocity-law")
-
-    # commutator system on interior Gaussian states
-    def commutator_check():
-        grid = make_grid(1, config.commutator_n, config.commutator_length,
-                         -config.commutator_length / 2)
-        x = grid.axis_points(0)
-        u = 0.5 * x**2
-        force = -x
-        centers = np.linspace(-2.0, 2.0, config.commutator_states)
-        momenta = np.linspace(-1.0, 1.0, config.commutator_states)
-        states = [
-            gaussian_packet(grid, c, p, 1.0, 1.0, 1.0)
-            for c, p in zip(centers, momenta)
-        ]
-        return check_commutator_system(
-            grid, u, 1.0, 1.0, states, force_samples=force,
-            tolerance=_scaled(1e-6, config),
-        )
-
-    guarded(commutator_check, "commutator-system", "generator-equations")
-
-    # commutant triviality
-    def commutant_checks():
-        out = []
-        for size in config.commutant_sizes:
-            r = check_commutant_uniqueness(size, tolerance=_scaled(1e-8, config))
-            out.append(dataclasses.replace(r, name=f"commutant-uniqueness-n{size}"))
-        return out
-
-    guarded(commutant_checks, "commutant-uniqueness", "commutant-scalars")
-
-    # anti-Hermitian exponentials
-    guarded(
-        lambda: check_antihermitian_exponential(
-            config.anti_n, config.anti_trials, seed=config.seed,
-            tolerance=_scaled(1e-10, config),
-        ),
-        "antihermitian-exponential", "unitary-generator",
-    )
-
-    # field-energy Parseval identity
-    def field_checks():
-        out = []
-        grid = make_grid(1, config.field_n, 2.0 * np.pi, 0.0)
-        rng = np.random.default_rng(config.seed + 1)
-        worst = 0.0
-        for _ in range(config.field_trials):
-            r = check_field_energy_parseval(
-                random_smooth_fields(grid, rng), _scaled(1e-12, config)
-            )
-            worst = max(worst, r.residual)
-        out.append(_report(
-            "field-energy-parseval", "field-energy", worst,
-            _scaled(1e-12, config),
-            details=f"max over {config.field_trials} random smooth configurations",
-        ))
-        # analytic single-harmonic case: total energy must be exactly 1/4
-        x = grid.axis_points(0)
-        e = np.zeros((3, config.field_n))
-        h = np.zeros((3, config.field_n))
-        e[1] = np.sin(x)
-        h[2] = np.sin(x)
-        fields = FieldConfiguration(grid, e, h)
-        dx = grid.cell_volume
-        w_real = float(np.sum(e**2) + np.sum(h**2)) * dx / (8.0 * np.pi)
-        out.append(_report(
-            "field-energy-sine", "field-energy",
-            abs(w_real - 0.25), _scaled(1e-10, config),
-            details=f"w_real={w_real:.15e} expected=0.25",
-        ))
-        return out
-
-    guarded(field_checks, "field-energy-parseval", "field-energy")
-
-    # linearity of the propagator
-    def superposition_check():
-        grid, u, force, _ = _harmonic_setup(config.norm_n, config.norm_length)
-        psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
-        psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-        return check_superposition(
-            grid, u, psi1, psi2, config.ehrenfest_dt, 1000,
-            tolerance=_scaled(1e-10, config),
-        )
-
-    guarded(superposition_check, "superposition", "linearity")
-
-    # constant shift of the potential
-    def gauge_check():
-        grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
-        return check_gauge_shift(
-            grid, u, psi0, config.ehrenfest_dt, 2000, config.ehrenfest_record_every,
-            force_samples=[force], tolerance=_scaled(1e-10, config),
-        )
-
-    guarded(gauge_check, "gauge-shift", "constant-in-potential")
-
-    # evolution-operator laws
-    guarded(
-        lambda: check_evolution_operator(
-            config.evolution_n, n_slices=config.evolution_slices,
-            tolerance_scale=config.tolerance_scale,
-        ),
-        "evolution-operator", "evolution-laws",
-    )
-
+            reports.extend(group(config))
+        except Exception as exc:  # noqa: BLE001 - the suite must not abort
+            reports.extend(CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
+                           for name, tag in names)
     return sorted(reports, key=lambda r: r.name)

@@ -8,6 +8,7 @@ fixed config and seed reproduce byte-identical data files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -111,14 +112,9 @@ def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    data = {}
-    if args.config:
-        data = _load_json_config(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.tolerance_scale is not None:
-        data["tolerance_scale"] = args.tolerance_scale
-    config = VerifyConfig.from_dict(data)
+    config = VerifyConfig.from_dict(_load_json_config(args.config) if args.config else {})
+    overrides = {"seed": args.seed, "tolerance_scale": args.tolerance_scale}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     reports = run_all(config)
     name_w = max(len(r.name) for r in reports)

@@ -224,9 +224,6 @@ class EvolutionOperator:
             raise ValueError("composition requires other.t2 == self.t1")
         return EvolutionOperator(self.matrix @ other.matrix, other.t1, self.t2, self.grid)
 
-    def inverse(self) -> "EvolutionOperator":
-        return EvolutionOperator(self.matrix.conj().T, self.t2, self.t1, self.grid)
-
 
 def _expm_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
     """exp(factor * H) via eigendecomposition; exactly unitary for imaginary factor."""

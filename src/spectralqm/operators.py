@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .grids import Grid, Wavefunction, inner
+from .grids import Grid, Wavefunction, inner, norm_squared
 
 __all__ = [
     "LinearOperator",
@@ -217,11 +217,14 @@ def apply(op: LinearOperator, psi: Wavefunction) -> Wavefunction:
 def expectation(op: LinearOperator, psi: Wavefunction) -> float:
     """Real bracket (psi, op psi) for a normalized psi.
 
-    A non-negligible imaginary part means the operator is not Hermitian (or
-    the state is polluted); that is treated as a bug, not rounded away.
+    An imaginary part above IMAG_RESIDUAL_TOL relative to ||psi|| ||op psi||,
+    the Cauchy-Schwarz bound on the bracket, means the operator is not
+    Hermitian (or the state is polluted); that is treated as a bug, not
+    rounded away.
     """
-    value = inner(psi, apply(op, psi))
-    if abs(value.imag) > IMAG_RESIDUAL_TOL:
+    op_psi = apply(op, psi)
+    value = inner(psi, op_psi)
+    if abs(value.imag) > IMAG_RESIDUAL_TOL * np.sqrt(norm_squared(psi) * norm_squared(op_psi)):
         raise ValueError(
             f"expectation of {op.label} has imaginary residual {value.imag:.3e}; "
             "operator is not Hermitian on this state"

@@ -104,6 +104,18 @@ def test_ehrenfest_checks_on_harmonic(harmonic_trajectory):
     assert v.passed and f.passed
 
 
+@pytest.mark.parametrize("check, column", [
+    (check_ehrenfest_velocity, "x_mean"),
+    (check_ehrenfest_force, "f_mean"),
+], ids=["velocity", "force"])
+def test_ehrenfest_check_sees_a_one_percent_error(harmonic_trajectory, check, column):
+    perturbed = dataclasses.replace(
+        harmonic_trajectory, **{column: 1.01 * getattr(harmonic_trajectory, column)})
+    assert check(harmonic_trajectory, tolerance=1e-5).passed
+    report = check(perturbed, tolerance=1e-5)
+    assert not report.passed and report.residual > 1e-3
+
+
 def test_ehrenfest_second_order_stencil_matches_h2_error_model(harmonic_trajectory):
     # 3-point differencing of <x> = cos(t) carries the h^2/6 truncation term;
     # with h = 1e-2 that is 1.67e-5, which the 4th-order stencil removes
@@ -164,6 +176,13 @@ def test_commutator_system_harmonic(commutator_states):
     report = check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states,
                                      force_samples=-x)
     assert report.passed and report.residual < 1e-6
+
+
+def test_commutator_system_sees_a_wrong_sign_force(commutator_states):
+    grid, states = commutator_states
+    x = grid.axis_points(0)
+    report = check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states, force_samples=x)
+    assert not report.passed and report.residual > 0.1
 
 
 def test_commutator_system_free_kinetic_momentum_commute(commutator_states):
@@ -309,6 +328,23 @@ def test_superposition_check(harmonic):
     assert report.passed and report.residual < 1e-10
 
 
+def test_superposition_sees_a_nonlinear_propagator(harmonic, monkeypatch):
+    grid, u, _ = harmonic
+    real_split_step = checks.split_step
+
+    def nonlinear(*args, **kwargs):
+        trajectory = real_split_step(*args, **kwargs)
+        last = trajectory.states[-1]
+        bent = last.with_amps(last.amps * np.exp(1j * np.abs(last.amps) ** 2))
+        return dataclasses.replace(trajectory, states=(*trajectory.states[:-1], bent))
+
+    monkeypatch.setattr(checks, "split_step", nonlinear)
+    psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
+    psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
+    report = check_superposition(grid, u, psi1, psi2, 1e-3, 500)
+    assert not report.passed and report.residual > 1e-3
+
+
 def test_gauge_shift_check(harmonic):
     grid, u, force = harmonic
     psi0 = gaussian_packet(grid, 1.0, 0.0, 1.0)
@@ -364,9 +400,42 @@ def test_evolution_operator_zero_tolerance_scale_fails_every_report():
 # ---------------------------------------------------------------------------
 
 
-def test_run_all_default_passes():
-    reports = run_all()
-    assert len(reports) >= 10
+# (name, tag, tolerance) of every report of the default run, sorted by name
+DEFAULT_REPORTS = [
+    ("antihermitian-exponential", "unitary-generator", 1e-10),
+    ("commutant-uniqueness-n16", "commutant-scalars", 1e-8),
+    ("commutant-uniqueness-n8", "commutant-scalars", 1e-8),
+    ("commutator-system", "generator-equations", 1e-6),
+    ("ehrenfest-force-harmonic", "force-law", 1e-5),
+    ("ehrenfest-force-quartic", "force-law", 1e-4),
+    ("ehrenfest-velocity-harmonic", "velocity-law", 1e-5),
+    ("ehrenfest-velocity-quartic", "velocity-law", 1e-4),
+    ("evolution-composition", "evolution-laws", 1e-10),
+    ("evolution-inverse", "evolution-laws", 1e-9),
+    ("evolution-unitarity", "evolution-laws", 1e-9),
+    ("field-energy-parseval", "field-energy", 1e-12),
+    ("field-energy-sine", "field-energy", 1e-10),
+    ("gauge-shift", "constant-in-potential", 1e-10),
+    ("generator-constant", "generator-extraction", 1e-6),
+    ("generator-driven", "generator-extraction", 1e-4),
+    ("generator-hermiticity", "generator-extraction", 1e-6),
+    ("momentum-parseval", "momentum-spectral", 1e-10),
+    ("normalization", "probability-norm", 1e-10),
+    ("superposition", "linearity", 1e-10),
+]
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    return run_all()
+
+
+def test_run_all_default_names_tags_and_tolerances(default_reports):
+    assert [(r.name, r.tag, r.tolerance) for r in default_reports] == DEFAULT_REPORTS
+
+
+def test_run_all_default_passes(default_reports):
+    reports = default_reports
     failed = [r for r in reports if not r.passed]
     assert not failed, [f"{r.name}: {r.residual}" for r in failed]
     assert [r.name for r in reports] == sorted(r.name for r in reports)
@@ -375,6 +444,21 @@ def test_run_all_default_passes():
 def test_run_all_zero_tolerance_fails_everything():
     reports = run_all(VerifyConfig(tolerance_scale=0.0))
     assert all(not r.passed for r in reports)
+
+
+def test_run_all_failed_groups_keep_their_report_names():
+    # every group raises: the grid sizes are no power of two, the commutant
+    # size is below 4 and the anti-Hermitian size above 64
+    reports = run_all(VerifyConfig(norm_n=3, parseval_n=3, commutator_n=3,
+                                   commutant_sizes=(3,), anti_n=65, field_n=3,
+                                   evolution_n=2))
+    expected = [(name, tag) for name, tag, _ in DEFAULT_REPORTS
+                if not name.startswith("commutant-")]
+    expected = sorted(expected + [("commutant-uniqueness-n3", "commutant-scalars")])
+    assert [(r.name, r.tag) for r in reports] == expected
+    for r in reports:
+        assert not r.passed and r.residual == float("inf") and r.tolerance == 0.0
+        assert r.details.startswith("error: ")
 
 
 def test_run_all_deterministic():

@@ -319,6 +319,29 @@ def test_verify_rejects_unknown_config_key(tmp_path, capsys):
     assert "tolerance_scales" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, flags, named", [
+    ({"seed": "abc"}, [], "seed"),
+    ({"norm_n": 3.5}, [], "norm_n"),
+    ({"norm_steps": 2.5}, [], "norm_steps"),
+    ({"norm_record_every": 0}, [], "norm_record_every"),
+    ({"tolerance_scale": "x"}, [], "tolerance_scale"),
+    ({}, ["--tolerance-scale", "nan"], "tolerance_scale"),
+    ({}, ["--tolerance-scale", "-1"], "tolerance_scale"),
+    ({"commutant_sizes": 5}, [], "commutant_sizes"),
+    ({"commutant_sizes": []}, [], "commutant_sizes"),
+    ([1], [], "JSON object"),
+], ids=["seed-string", "norm-n-float", "norm-steps-float", "record-every-zero",
+        "tolerance-scale-string", "tolerance-scale-nan", "tolerance-scale-negative",
+        "commutant-sizes-int", "commutant-sizes-empty", "top-level-list"])
+def test_verify_bad_config_value_is_usage_error(tmp_path, capsys, config, flags, named):
+    path = write_config(tmp_path, "v.json", config)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", path, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not (out / "verify_reports.json").exists()
+
+
 def test_verify_missing_config_file(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -145,6 +145,15 @@ def test_expectation_flags_non_hermitian(grid):
         expectation(ScaledIdentity(1j), psi)
 
 
+def test_expectation_guard_is_relative_to_the_operator_scale():
+    # <H> = 2.5e7 carries an imaginary roundoff of ~6e-10, 1.5e-17 of ||H psi||
+    grid = make_grid(1, 256, 20.0, -10.0)
+    x = grid.axis_points(0)
+    h = hamiltonian(grid, 0.5 * x**2, 1.0, 1e4)
+    value = expectation(h, gaussian_packet(grid, 1.0, 0.5, 1.0))
+    assert value == pytest.approx(2.5e7, rel=1e-6)
+
+
 def test_diagonal_rejects_complex_samples(grid):
     with pytest.raises(ValueError):
         DiagonalReal(grid, np.full(grid.shape, 1j))
