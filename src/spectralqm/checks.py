@@ -229,30 +229,30 @@ def check_commutator_system(
 ) -> CheckReport:
     """State-wise residuals of the commutator system that determines H.
 
-    With dense H, X, P the two relations (i/hbar)[H,P]psi = -U'psi and
-    (i/hbar)[H,X]psi = (P/m)psi are continuum identities; on a periodic grid
-    they hold on interior band-limited states, so the residual is measured
-    state-wise in the L2 norm, never as a matrix-norm identity.
+    The two relations (i/hbar)[H,P]psi = -U'psi and (i/hbar)[H,X]psi =
+    (P/m)psi are continuum identities; on a periodic grid they hold on
+    interior band-limited states, so the residual is measured state-wise in
+    the L2 norm, never as a matrix-norm identity.  H, X and P act through
+    `_apply_amps` on all test states as one batch; no matrix is formed.
 
     -U' defaults to spectral differentiation of u_samples; pass
     force_samples for potentials that are not periodic-smooth.
     """
     if grid.dim != 1:
         raise ValueError("commutator system check is defined on 1-D grids")
-    h_dense = to_dense(hamiltonian(grid, u_samples, mass, hbar)).matrix
-    x_dense = to_dense(position_op(grid)).matrix
-    p_dense = to_dense(momentum_op(grid, 0, hbar)).matrix
+    h = hamiltonian(grid, u_samples, mass, hbar)._apply_amps
+    x = position_op(grid)._apply_amps
+    p = momentum_op(grid, 0, hbar)._apply_amps
     force = force_op(grid, u_samples, 0, force_samples).samples
 
-    comm_hp = (1j / hbar) * (h_dense @ p_dense - p_dense @ h_dense)
-    comm_hx = (1j / hbar) * (h_dense @ x_dense - x_dense @ h_dense)
+    states = np.stack([psi.amps for psi in test_states]).astype(complex)
+    h_states, p_states = h(states), p(states)
+    comm_hp = (1j / hbar) * (h(p_states) - p(h_states))
+    comm_hx = (1j / hbar) * (h(x(states)) - x(h_states))
     sqrt_dv = np.sqrt(grid.cell_volume)
-    residual = 0.0
-    for psi in test_states:
-        v = psi.amps.ravel()
-        r_force = np.linalg.norm(comm_hp @ v - force * v) * sqrt_dv
-        r_velocity = np.linalg.norm(comm_hx @ v - (p_dense @ v) / mass) * sqrt_dv
-        residual = max(residual, float(r_force), float(r_velocity))
+    r_force = np.linalg.norm(comm_hp - force * states, axis=-1) * sqrt_dv
+    r_velocity = np.linalg.norm(comm_hx - p_states / mass, axis=-1) * sqrt_dv
+    residual = float(max(r_force.max(), r_velocity.max()))
     return _report(
         "commutator-system",
         "generator-equations",
@@ -432,18 +432,12 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, max_mode: int | N
     n = grid.n[0]
     if max_mode is None:
         max_mode = max(1, n // 8)
-    x = grid.axis_points(0)
-    length = grid.length[0]
-
-    def component():
-        f = np.zeros(n)
-        for m in range(1, max_mode + 1):
-            a, b = rng.standard_normal(2)
-            f += a * np.cos(2 * np.pi * m * x / length) + b * np.sin(2 * np.pi * m * x / length)
-        return f
-
-    e = np.array([component() for _ in range(3)])
-    h = np.array([component() for _ in range(3)])
+    modes = np.arange(1, max_mode + 1)
+    phase = 2 * np.pi * modes[:, None] * grid.axis_points(0) / grid.length[0]
+    # one (cos, sin) coefficient pair per component and mode, drawn in that order
+    coeffs = rng.standard_normal((6, max_mode, 2))
+    fields = coeffs[..., 0] @ np.cos(phase) + coeffs[..., 1] @ np.sin(phase)
+    e, h = fields[:3], fields[3:]
     return FieldConfiguration(grid, e, h)
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from .checks import VerifyConfig, _central_difference, run_all
 from .evolution import Trajectory
 from .grids import make_grid
-from .operators import hamiltonian, to_dense
+from .operators import hamiltonian
 from .scenarios import ScenarioConfig, potential_samples, run, run_diffraction
 from .evolution import spectrum as compute_spectrum
 
@@ -175,13 +175,12 @@ def cmd_spectrum(args) -> int:
     g = config.grid
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
     if not 1 <= args.levels <= grid.size:
-        print(f"error: requested {args.levels} levels; the matrix has "
-              f"dimension {grid.size}, so 1 to {grid.size} levels are possible",
+        print(f"error: requested {args.levels} levels; the grid has "
+              f"{grid.size} points, so 1 to {grid.size} levels are possible",
               file=sys.stderr)
         return EXIT_USAGE
     u = potential_samples(grid, config.potential)
-    h_dense = to_dense(hamiltonian(grid, u, config.mass, config.hbar))
-    pairs = compute_spectrum(h_dense, args.levels)
+    pairs = compute_spectrum(hamiltonian(grid, u, config.mass, config.hbar), args.levels)
 
     rows = [[level, float(energy), None, None] for level, (energy, _) in enumerate(pairs)]
     if config.potential["kind"] == "harmonic":

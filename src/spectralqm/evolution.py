@@ -1,11 +1,12 @@
-"""Time evolution: split-step propagation, dense unitary propagators, and
-the two-time evolution operator with its generator.
+"""Time evolution: split-step propagation, dense unitary propagators, the
+two-time evolution operator with its generator, and bound-state spectra.
 
 The split-step integrator uses Strang splitting (exact potential half-kick,
 exact kinetic drift in k-space, half-kick), so the norm is conserved to
 roundoff and the global error is O(dt^2); its records are reduced a block of
 states at a time.  Dense propagators go through a Hermitian eigendecomposition,
-which keeps them unitary to roundoff as well.
+which keeps them unitary to roundoff as well.  Spectra of grid operators are
+matrix-free: ARPACK applies the operator through its own `_apply_amps`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .grids import Grid, Wavefunction
-from .operators import DenseOperator, _as_matrix, hermiticity_defect, spectral_gradient
+from .operators import DenseOperator, _as_matrix, hermiticity_defect, spectral_gradient, to_dense
 
 __all__ = [
     "Trajectory",
@@ -311,25 +312,47 @@ def extract_generator(
     return DenseOperator(b, grid, label="generator")
 
 
-def spectrum(h_dense: DenseOperator, n_levels: int) -> list[tuple[float, Wavefunction]]:
-    """Lowest eigenpairs of a Hermitian dense Hamiltonian.
+def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
+    """Lowest eigenpairs of a Hermitian Hamiltonian.
+
+    A grid LinearOperator such as `hamiltonian(...)` is solved matrix-free:
+    ARPACK (`eigsh`, which="SA") applies it through its own `_apply_amps`,
+    from a fixed random start vector, so reruns are byte-identical.  ARPACK
+    cannot return N - 1 or more of N levels; that case alone builds the
+    matrix with `to_dense`.  A DenseOperator already holds its matrix and
+    goes through the Hermiticity pre-check and the subset `eigh`.
 
     Eigenstates are normalized under the dx^dim measure and returned with
     energies ascending.
     """
-    h = h_dense.matrix
-    grid = h_dense.grid
+    grid = h.grid
     if grid is None:
-        raise ValueError("spectrum needs a DenseOperator with a grid reference")
-    if not 1 <= n_levels <= h.shape[0]:
-        raise ValueError(f"n_levels must be in [1, {h.shape[0]}], got {n_levels}")
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_PRE_TOL:
-        raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
-    evals, vecs = sla.eigh(h, subset_by_index=[0, n_levels - 1])
-    out = []
-    scale = 1.0 / np.sqrt(grid.cell_volume)
-    for i in range(n_levels):
-        amps = (vecs[:, i] * scale).reshape(grid.shape)
-        out.append((float(evals[i]), Wavefunction(grid, amps.astype(complex))))
-    return out
+        raise ValueError("spectrum needs an operator with a grid reference")
+    n = grid.size
+    if not 1 <= n_levels <= n:
+        raise ValueError(f"n_levels must be in [1, {n}], got {n_levels}")
+    if not isinstance(h, DenseOperator) and n_levels >= n - 1:
+        h = to_dense(h)
+    if isinstance(h, DenseOperator):
+        defect = hermiticity_defect(h.matrix)
+        if defect > HERMITICITY_PRE_TOL:
+            raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
+        evals, vecs = sla.eigh(h.matrix, subset_by_index=[0, n_levels - 1])
+    else:
+        # here, not at module top: importing it costs every CLI call about 0.03 s
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        def matvec(v):
+            return h._apply_amps(v.reshape(grid.shape)).ravel()
+
+        operator = LinearOperator((n, n), matvec=matvec, dtype=complex)
+        # a parity-even start vector (such as ones) would miss the odd levels
+        start = np.random.default_rng(0).standard_normal(n)
+        try:
+            evals, vecs = eigsh(operator, k=n_levels, which="SA", v0=start)
+        except ArpackNoConvergence as exc:
+            raise ValueError(f"spectrum did not converge: {exc}") from None
+        order = np.argsort(evals)
+        evals, vecs = evals[order], vecs[:, order]
+    states = (vecs.T * (1.0 / np.sqrt(grid.cell_volume))).reshape(n_levels, *grid.shape)
+    return [(float(e), Wavefunction(grid, a.astype(complex))) for e, a in zip(evals, states)]

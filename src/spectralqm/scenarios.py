@@ -353,7 +353,8 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     window = np.abs(y_axis) <= PARAXIAL_HALF_TANGENT * distance
     measured, peaks = extract_fringe_spacing(y_axis[window], intensity[window])
     if measured is None:
-        raise RuntimeError("could not locate interference peaks on the detector line")
+        raise ValueError(f"could not locate interference peaks on the detector line "
+                         f"({len(peaks)} found inside the paraxial window)")
     details = (
         f"peaks={len(peaks)} transmitted={transmitted:.4f} "
         f"fresnel={fresnel:.3f} wavelength={wavelength:.6e}"

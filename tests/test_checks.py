@@ -292,6 +292,20 @@ def test_field_energy_random_smooth(field_grid):
         assert report.residual < 1e-12
 
 
+def test_random_smooth_fields_match_a_per_mode_sum(field_grid):
+    # the fields are the harmonic sums drawn (cos, sin) per mode, component by component
+    x, length = field_grid.axis_points(0), field_grid.length[0]
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    fields = random_smooth_fields(field_grid, rng, max_mode=5)
+    expected = np.zeros((6, 256))
+    for c in range(6):
+        for m in range(1, 6):
+            a, b = ref_rng.standard_normal(2)
+            expected[c] += a * np.cos(2 * np.pi * m * x / length) + b * np.sin(2 * np.pi * m * x / length)
+    assert np.max(np.abs(np.concatenate([fields.e, fields.h]) - expected)) <= 1e-12
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_field_energy_spectrum_single_harmonic(field_grid):
     x = field_grid.axis_points(0)
     e = np.zeros((3, 256))

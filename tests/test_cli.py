@@ -270,16 +270,61 @@ def test_spectrum_level_check_precedes_dense_build(tmp_path, monkeypatch, capsys
         "steps": 1,
     })
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("to_dense called before the level check")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spectrum solver called before the level check")
 
-    monkeypatch.setattr(cli, "to_dense", no_dense)
+    monkeypatch.setattr(cli, "compute_spectrum", no_solve)
     for levels in ("4097", "0", "-1"):
         out = tmp_path / f"o{levels}"
         assert main(["spectrum", "--config", path, "--levels", levels,
                      "--out", str(out)]) == 2
         assert f"requested {levels} levels" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_spectrum_reruns_are_byte_identical(tmp_path, harmonic_config_path):
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["spectrum", "--config", harmonic_config_path, "--out", str(out),
+                     "--levels", "6"]) == 0
+        texts.append((out / "harmonic-cli_spectrum.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_spectrum_without_convergence_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                     harmonic_config_path):
+    import scipy.sparse.linalg as ssl
+
+    def stalled(*args, **kwargs):
+        raise ssl.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+    monkeypatch.setattr(ssl, "eigsh", stalled)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", harmonic_config_path, "--out", str(out),
+                 "--levels", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectrum did not converge") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectrum_runs_above_the_dense_cap(tmp_path):
+    # 128x64 = 8192 points, more than the 4096 a dense matrix may have
+    path = write_config(tmp_path, "well-big.json", {
+        "name": "well-big",
+        "grid": {"dim": 2, "n": [128, 64], "length": [12.0, 12.0], "origin": [-6.0, -6.0]},
+        "potential": {"kind": "harmonic", "omega": 1.0},
+        "initial": {"kind": "gaussian", "x0": [0.0, 0.0], "p0": [0.0, 0.0],
+                    "sigma": [1.0, 1.0]},
+        "dt": 1e-3,
+        "steps": 1,
+    })
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--out", str(out), "--levels", "6"]) == 0
+    _, rows = read_csv(out / "well-big_spectrum.csv")
+    assert [float(r[2]) for r in rows] == [1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+    assert all(float(r[3]) < 1e-6 for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +440,20 @@ def test_diffract_blocked_wall_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["diffract", "--config", path, "--out", str(out)]) == 2
     assert "no transmitted amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diffract_without_peaks_is_usage_error(tmp_path, capsys):
+    from test_scenarios import fast_two_slit_config
+
+    # a detector just behind the wall leaves too narrow a paraxial window for two peaks
+    cfg = fast_two_slit_config(positions={"wall": -0.02, "detector": -0.012})
+    path = write_config(tmp_path, "close.json",
+                        dataclasses.replace(cfg, steps=400, record_every=400).as_dict())
+    out = tmp_path / "out"
+    assert main(["diffract", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not locate interference peaks") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -425,18 +425,31 @@ def test_spectrum_states_orthogonal():
             assert abs(inner(pairs[i][1], pairs[j][1])) < 1e-10
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_spectrum_subset_matches_full_eigh(dim):
+@pytest.mark.parametrize("dim, matrix_free", [(1, False), (2, False), (1, True), (2, True)],
+                         ids=["1", "2", "1-matrix-free", "2-matrix-free"])
+def test_spectrum_subset_matches_full_eigh(dim, matrix_free):
     # 1-D: the harmonic well on 256 points; 2-D: a 16x16 isotropic well, levels 1, 2, 2, 3, 3, 3
     grid = make_grid(1, 256, 20.0, -10.0) if dim == 1 else make_grid(2, 16, 12.0, -6.0)
-    h = to_dense(hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes)))
+    op = hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes))
+    h = to_dense(op)
     full = sla.eigh(h.matrix, eigvals_only=True)
-    pairs = spectrum(h, 6)
+    pairs = spectrum(op if matrix_free else h, 6)
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:6])) <= 1e-12
     for energy, state in pairs:
         assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
         v = state.amps.ravel()
         assert np.linalg.norm(h.matrix @ v - energy * v) <= 1e-9 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n_levels", [15, 16])
+def test_spectrum_dense_fallback_matches_full_eigh(n_levels):
+    # ARPACK cannot return N - 1 or N levels; those go through to_dense and eigh
+    grid = make_grid(1, 16, 8.0, -4.0)
+    op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
+    full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
+    pairs = spectrum(op, n_levels)
+    assert len(pairs) == n_levels
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:n_levels])) <= 1e-12
 
 
 def test_spectrum_rejects_too_many_levels():
