@@ -6,7 +6,9 @@ exact kinetic drift in k-space, half-kick), so the norm is conserved to
 roundoff and the global error is O(dt^2); its records are reduced a block of
 states at a time.  Dense propagators go through a Hermitian eigendecomposition,
 which keeps them unitary to roundoff as well.  Spectra of grid operators are
-matrix-free: ARPACK applies the operator through its own `_apply_amps`.
+matrix-free up to N/32 levels: ARPACK applies the operator through its own
+`_apply_amps`, and a Rayleigh-Ritz step plus a deflated ARPACK run make the
+states orthonormal and check that no copy of a degenerate level was missed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .grids import Grid, Wavefunction
-from .operators import DenseOperator, _as_matrix, hermiticity_defect, spectral_gradient, to_dense
+from .operators import (
+    DENSE_SIZE_LIMIT,
+    DenseOperator,
+    _as_matrix,
+    hermiticity_defect,
+    spectral_gradient,
+    to_dense,
+)
 
 __all__ = [
     "Trajectory",
@@ -35,6 +44,15 @@ __all__ = [
 DENSE_PROPAGATOR_LIMIT = 1024
 UNITARITY_TOL = 1e-9
 HERMITICITY_PRE_TOL = 1e-10
+# spectrum solves a request for at least this share of the grid's levels
+# densely (see `spectrum`)
+SPECTRUM_DENSE_FRACTION = 1 / 32
+# the deflation check of `_lowest_matrix_free`: a level found more than
+# DEFLATION_SLACK (relative) below the highest level was missed; the check's
+# ARPACK run stops at residual DEFLATION_CHECK_TOL, which leaves an eigenvalue
+# error of about its square (times |H| over the spectral gap)
+DEFLATION_SLACK = 1e-9
+DEFLATION_CHECK_TOL = 1e-6
 # split_step reduces its records a block of states at a time: about this many
 # bytes of complex amplitudes per block, and never fewer than one state.
 RECORD_BLOCK_BYTES = 1 << 20
@@ -315,14 +333,22 @@ def extract_generator(
 def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     """Lowest eigenpairs of a Hermitian Hamiltonian.
 
-    A grid LinearOperator such as `hamiltonian(...)` is solved matrix-free:
-    ARPACK (`eigsh`, which="SA") applies it through its own `_apply_amps`,
-    from a fixed random start vector, so reruns are byte-identical.  ARPACK
-    cannot return N - 1 or more of N levels; that case alone builds the
-    matrix with `to_dense`.  A DenseOperator already holds its matrix and
-    goes through the Hermiticity pre-check and the subset `eigh`.
+    A grid LinearOperator such as `hamiltonian(...)` is solved matrix-free by
+    ARPACK through its own `_apply_amps` (see `_lowest_matrix_free`) while
+    n_levels stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points.
+    The two solvers were measured to cost the same at N/32 to N/27 levels on
+    2-D harmonic wells of 1024 to 4096 points: ARPACK's work grows with the
+    square of its Krylov basis of 2 n_levels + 1 states, the subset `eigh`'s
+    hardly with n_levels.  From that share on, or when the Krylov basis would
+    hold more entries than the largest dense matrix, the matrix is built with
+    `to_dense` and solved by the subset `eigh`; above the dense size limit
+    such a request is refused.  On fine 1-D grids ARPACK takes thousands of
+    steps (the kinetic term spans a wide range against the level spacing), so
+    there the dense path is faster even for a few levels; no workload asks
+    for such spectra.  A DenseOperator already holds its matrix and goes
+    through the Hermiticity pre-check and the subset `eigh`.
 
-    Eigenstates are normalized under the dx^dim measure and returned with
+    Eigenstates are orthonormal under the dx^dim measure and returned with
     energies ascending.
     """
     grid = h.grid
@@ -331,7 +357,15 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     n = grid.size
     if not 1 <= n_levels <= n:
         raise ValueError(f"n_levels must be in [1, {n}], got {n_levels}")
-    if not isinstance(h, DenseOperator) and n_levels >= n - 1:
+    # eigsh keeps a Krylov basis of 2 n_levels + 1 states; one that would hold
+    # more entries than the largest dense matrix is no cheaper than that matrix
+    krylov_entries = n * (2 * n_levels + 1)
+    if not isinstance(h, DenseOperator) and (
+        n_levels >= SPECTRUM_DENSE_FRACTION * n or krylov_entries > DENSE_SIZE_LIMIT**2
+    ):
+        if n > DENSE_SIZE_LIMIT:
+            raise ValueError(f"{n_levels} of {n} levels need a dense solve, and the dense "
+                             f"limit is {DENSE_SIZE_LIMIT} points; ask for fewer levels")
         h = to_dense(h)
     if isinstance(h, DenseOperator):
         defect = hermiticity_defect(h.matrix)
@@ -339,20 +373,63 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
             raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
         evals, vecs = sla.eigh(h.matrix, subset_by_index=[0, n_levels - 1])
     else:
-        # here, not at module top: importing it costs every CLI call about 0.03 s
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        def matvec(v):
-            return h._apply_amps(v.reshape(grid.shape)).ravel()
-
-        operator = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        # a parity-even start vector (such as ones) would miss the odd levels
-        start = np.random.default_rng(0).standard_normal(n)
-        try:
-            evals, vecs = eigsh(operator, k=n_levels, which="SA", v0=start)
-        except ArpackNoConvergence as exc:
-            raise ValueError(f"spectrum did not converge: {exc}") from None
-        order = np.argsort(evals)
-        evals, vecs = evals[order], vecs[:, order]
+        evals, vecs = _lowest_matrix_free(h, grid, n_levels)
     states = (vecs.T * (1.0 / np.sqrt(grid.cell_volume))).reshape(n_levels, *grid.shape)
     return [(float(e), Wavefunction(grid, a.astype(complex))) for e, a in zip(evals, states)]
+
+
+def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_levels eigenpairs of a grid operator by ARPACK, checked by deflation.
+
+    ARPACK (`eigsh`, which="SA") is single-vector Lanczos: from one start
+    vector it sees one direction of each eigenspace, so a copy of a
+    degenerate level is found only through rounding and may be missed.  The
+    returned vectors are therefore put through a Rayleigh-Ritz step, which
+    makes them orthonormal even inside a degenerate level, and one more
+    ARPACK run on H + lift Q Q^H finds the lowest level outside the span of
+    the found states Q.  If that level lies below the highest found one, its
+    state was missed: it joins the basis and the check repeats.  The start
+    vectors come from a fixed random stream (a parity-even one such as ones
+    would miss the odd levels), so reruns are byte-identical.
+    """
+    # here, not at module top: importing it costs every CLI call about 0.03 s
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n = grid.size
+    rng = np.random.default_rng(0)
+
+    def apply_columns(v):
+        return h._apply_amps(v.T.reshape(-1, *grid.shape)).reshape(v.shape[1], n).T
+
+    def lowest(k, found, lift, tol=0.0):
+        found_h = found.conj()
+
+        def matvec(v):
+            v = v.ravel()
+            out = h._apply_amps(v.reshape(grid.shape)).ravel()
+            # einsum, not BLAS: numpy's BLAS threads spinning between ARPACK's
+            # calls into scipy's own BLAS made a solve up to 100x slower
+            return out + lift * np.einsum("ij,j->i", found, np.einsum("ij,i->j", found_h, v))
+
+        operator = LinearOperator((n, n), matvec=matvec, dtype=complex)
+        try:
+            return eigsh(operator, k=k, which="SA", v0=rng.standard_normal(n), tol=tol)
+        except ArpackNoConvergence as exc:
+            raise ValueError(f"spectrum did not converge: {exc}") from None
+
+    def rayleigh_ritz(basis):
+        q = np.linalg.qr(basis)[0]
+        theta, w = np.linalg.eigh(q.conj().T @ apply_columns(q))
+        return theta[:n_levels], (q @ w)[:, :n_levels]
+
+    theta, q = rayleigh_ritz(lowest(n_levels, np.zeros((n, 0)), 0.0)[1])
+    for _ in range(n_levels):
+        spread, scale = theta[-1] - theta[0], np.abs(theta).max()
+        lift = spread + max(spread, scale)  # puts every found level above the highest
+        mu, u = lowest(1, q, lift, DEFLATION_CHECK_TOL)
+        if mu[0] >= theta[-1] - DEFLATION_SLACK * max(abs(mu[0]), scale):
+            return theta, q
+        # a missed level: solve for its state to full accuracy before it joins
+        u = lowest(1, q, lift)[1]
+        theta, q = rayleigh_ritz(np.hstack([q, u]))
+    raise ValueError(f"spectrum did not settle on {n_levels} levels")

@@ -309,22 +309,39 @@ def test_spectrum_without_convergence_is_usage_error(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-def test_spectrum_runs_above_the_dense_cap(tmp_path):
-    # 128x64 = 8192 points, more than the 4096 a dense matrix may have
-    path = write_config(tmp_path, "well-big.json", {
+def _big_well(tmp_path, n):
+    return write_config(tmp_path, "well-big.json", {
         "name": "well-big",
-        "grid": {"dim": 2, "n": [128, 64], "length": [12.0, 12.0], "origin": [-6.0, -6.0]},
+        "grid": {"dim": 2, "n": n, "length": [16.0, 16.0], "origin": [-8.0, -8.0]},
         "potential": {"kind": "harmonic", "omega": 1.0},
         "initial": {"kind": "gaussian", "x0": [0.0, 0.0], "p0": [0.0, 0.0],
                     "sigma": [1.0, 1.0]},
         "dt": 1e-3,
         "steps": 1,
     })
+
+
+def test_spectrum_runs_above_the_dense_cap(tmp_path):
+    # 128x128 = 16384 points, more than the 4096 a dense matrix may have; on a
+    # square grid levels 2 and 3 are exactly degenerate, which single-vector
+    # Lanczos alone can miss
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", path, "--out", str(out), "--levels", "6"]) == 0
+    assert main(["spectrum", "--config", _big_well(tmp_path, [128, 128]), "--out", str(out),
+                 "--levels", "6"]) == 0
     _, rows = read_csv(out / "well-big_spectrum.csv")
     assert [float(r[2]) for r in rows] == [1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
     assert all(float(r[3]) < 1e-6 for r in rows)
+
+
+def test_spectrum_many_levels_above_the_dense_cap_is_usage_error(tmp_path, capsys):
+    # 8000 of 8192 levels would need a dense matrix above the cap (or an ARPACK
+    # basis of nearly all 8192 states); the run stops before allocating either
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _big_well(tmp_path, [128, 64]), "--out", str(out),
+                 "--levels", "8000"]) == 2
+    err = capsys.readouterr().err
+    assert "dense limit" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

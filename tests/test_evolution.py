@@ -16,6 +16,7 @@ from spectralqm import (
     extract_generator,
     gaussian_packet,
     hamiltonian,
+    inner,
     make_grid,
     position_op,
     spectrum,
@@ -23,6 +24,7 @@ from spectralqm import (
     to_dense,
     unitarity_defect,
 )
+from spectralqm import evolution
 from spectralqm.evolution import RECORD_BLOCK_BYTES
 from spectralqm.grids import norm_squared
 
@@ -418,7 +420,6 @@ def test_spectrum_states_orthogonal():
     grid = make_grid(1, 128, 20.0, -10.0)
     x = grid.axis_points(0)
     pairs = spectrum(to_dense(hamiltonian(grid, 0.5 * x**2)), 4)
-    from spectralqm import inner
 
     for i in range(4):
         for j in range(i + 1, 4):
@@ -441,9 +442,73 @@ def test_spectrum_subset_matches_full_eigh(dim, matrix_free):
         assert np.linalg.norm(h.matrix @ v - energy * v) <= 1e-9 * np.linalg.norm(v)
 
 
+def _isotropic_well(n):
+    # levels 1, 2, 2, 3, 3, 3: the 3-fold level splits by about 6e-5 on 16x16
+    grid = make_grid(2, n, 12.0, -6.0)
+    return hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes))
+
+
+def test_spectrum_matrix_free_states_are_orthonormal():
+    pairs = spectrum(_isotropic_well(16), 6)
+    gram = np.array([[inner(a, b) for _, b in pairs] for _, a in pairs])
+    assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
+
+
+def test_spectrum_recovers_a_missed_degenerate_level(monkeypatch):
+    import scipy.sparse.linalg as ssl
+
+    op = _isotropic_well(16)
+    full_vals, full_vecs = sla.eigh(to_dense(op).matrix)
+    real_eigsh = ssl.eigsh
+    calls = []
+
+    def first_solve_misses_a_level(operator, k, **kwargs):
+        calls.append(k)
+        if len(calls) == 1:
+            # what single-vector Lanczos may return: one copy of level 3 short,
+            # the first state of level 4 in its place
+            keep = [0, 1, 2, 3, 4, 6]
+            return full_vals[keep], full_vecs[:, keep]
+        return real_eigsh(operator, k, **kwargs)
+
+    monkeypatch.setattr(ssl, "eigsh", first_solve_misses_a_level)
+    pairs = spectrum(op, 6)
+    # the solve, a check that finds the missed level, its full solve, a clean check
+    assert calls == [6, 1, 1, 1]
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full_vals[:6])) <= 1e-12
+    gram = np.array([[inner(a, b) for _, b in pairs] for _, a in pairs])
+    assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
+
+
+def test_spectrum_solver_follows_the_share_of_levels(monkeypatch):
+    # 256 points: below N/32 = 8 levels ARPACK runs, from 8 on the dense eigh
+    grid = make_grid(1, 256, 20.0, -10.0)
+    op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
+    built = []
+
+    def counting_to_dense(h):
+        built.append(h)
+        return to_dense(h)
+
+    monkeypatch.setattr(evolution, "to_dense", counting_to_dense)
+    spectrum(op, 7)
+    assert built == []
+    spectrum(op, 8)
+    assert built == [op]
+
+
+def test_spectrum_refuses_a_krylov_basis_above_the_dense_limit():
+    # 300 of 32768 levels is below N/32, but eigsh's basis of 601 states would
+    # hold more entries than the largest dense matrix
+    grid = make_grid(2, [256, 128], 12.0, -6.0)
+    op = hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes))
+    with pytest.raises(ValueError, match="dense limit"):
+        spectrum(op, 300)
+
+
 @pytest.mark.parametrize("n_levels", [15, 16])
 def test_spectrum_dense_fallback_matches_full_eigh(n_levels):
-    # ARPACK cannot return N - 1 or N levels; those go through to_dense and eigh
+    # N/32 or more of the N levels go through to_dense and the subset eigh
     grid = make_grid(1, 16, 8.0, -4.0)
     op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
