@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .checks import VerifyConfig, _central_difference, run_all
-from .evolution import Trajectory
+from .evolution import Trajectory, _fft_workers
 from .grids import make_grid
 from .operators import hamiltonian
 from .scenarios import ScenarioConfig, potential_samples, run, run_diffraction
@@ -84,7 +84,7 @@ def _load_json_config(path: str) -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, started: float,
-                    outputs: list[str]) -> None:
+                    outputs: list[str], **telemetry) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -92,8 +92,20 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, started: fl
         "seed": seed,
         "duration_seconds": time.perf_counter() - started,
         "outputs": outputs,
+        **telemetry,
     }
     write_json(out_dir / f"{command}_manifest.json", manifest)
+
+
+def _timed_run(runner, config: ScenarioConfig):
+    """runner(config), plus the manifest's steps per second and FFT worker count."""
+    started = time.perf_counter()
+    result = runner(config)
+    telemetry = {
+        "steps_per_second": config.steps / (time.perf_counter() - started),
+        "fft_workers": _fft_workers(config.grid["dim"]),
+    }
+    return result, telemetry
 
 
 def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
@@ -145,7 +157,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
 def cmd_evolve(args) -> int:
     started = time.perf_counter()
     config = _scenario_from_args(args)
-    traj = run(config)
+    traj, telemetry = _timed_run(run, config)
     v_resid, f_resid = _ehrenfest_residual_columns(traj, config.mass)
     rows = []
     for i, t in enumerate(traj.times):
@@ -164,7 +176,7 @@ def cmd_evolve(args) -> int:
         rows,
     )
     _write_manifest(out_dir, "evolve", config.as_dict(), config.seed, started,
-                    [str(csv_path)])
+                    [str(csv_path)], **telemetry)
     print(f"wrote {csv_path} ({len(rows)} records)")
     return EXIT_OK
 
@@ -204,7 +216,7 @@ def cmd_spectrum(args) -> int:
 def cmd_diffract(args) -> int:
     started = time.perf_counter()
     config = _scenario_from_args(args)
-    result = run_diffraction(config)
+    result, telemetry = _timed_run(run_diffraction, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_intensity.csv"
@@ -225,7 +237,7 @@ def cmd_diffract(args) -> int:
     summary_path = out_dir / f"{config.name}_summary.json"
     write_json(summary_path, summary)
     _write_manifest(out_dir, "diffract", config.as_dict(), config.seed, started,
-                    [str(csv_path), str(summary_path)])
+                    [str(csv_path), str(summary_path)], **telemetry)
     if result.fringe_spacing is not None:
         print(f"fringe spacing {result.fringe_spacing:.6g} vs prediction "
               f"{result.fraunhofer_spacing:.6g} (relative error {result.relative_error:.3f})")

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .grids import Grid, Wavefunction, gaussian_packet, make_grid
 from .evolution import Trajectory, _strang_propagate, split_step
@@ -318,7 +319,8 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     intensity = np.zeros(grid.n[1])
 
     def accumulate(amps):
-        intensity[:] += np.abs(amps[det_col, :]) ** 2 * config.dt
+        # amps is the kernel's mixed array: its rows are transformed along y
+        intensity[:] += np.abs(sfft.ifft(amps[det_col])) ** 2 * config.dt
 
     amps = _strang_propagate(psi0, u, config.mass, config.hbar, config.dt, config.steps,
                              on_drift=accumulate)

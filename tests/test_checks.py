@@ -91,6 +91,22 @@ def test_parseval_momentum_plane_wave():
     assert expectation(momentum_op(grid), psi) == pytest.approx(3 * 2 * np.pi / 16, abs=1e-12)
 
 
+def test_parseval_momentum_sees_a_one_percent_error(harmonic, monkeypatch):
+    grid, _, _ = harmonic
+    psi = gaussian_packet(grid, 0.0, 2.0, 1.0)
+    assert check_parseval_momentum(psi).passed
+    original = checks.momentum_op
+
+    def scaled(*args, **kwargs):
+        op = original(*args, **kwargs)
+        return dataclasses.replace(op, samples=1.01 * op.samples)
+
+    monkeypatch.setattr(checks, "momentum_op", scaled)
+    report = check_parseval_momentum(psi)
+    assert report.tolerance == 1e-10
+    assert not report.passed
+
+
 def test_parseval_momentum_random_states(harmonic):
     grid, _, _ = harmonic
     rng = np.random.default_rng(17)

@@ -142,6 +142,15 @@ def test_evolve_manifest_lists_existing_outputs(tmp_path, harmonic_config_path):
     assert manifest["config"]["steps"] == 400
 
 
+def test_evolve_manifest_records_steps_per_second_and_fft_workers(tmp_path,
+                                                                   harmonic_config_path):
+    out = tmp_path / "out"
+    main(["evolve", "--config", harmonic_config_path, "--out", str(out)])
+    manifest = json.loads((out / "evolve_manifest.json").read_text())
+    assert manifest["steps_per_second"] > 0
+    assert manifest["fft_workers"] == 1  # 1-D grid
+
+
 def test_evolve_missing_config_is_usage_error(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -433,6 +442,9 @@ def test_diffract_writes_csv_and_summary(tmp_path, fast_slit_config_path):
     assert summary["fraunhofer_prediction"] == pytest.approx(expected, rel=1e-12)
     assert summary["relative_error"] < 0.15
     assert abs(summary["final_norm"] - 1.0) < 1e-8
+    manifest = json.loads((out / "diffract_manifest.json").read_text())
+    assert manifest["steps_per_second"] > 0
+    assert manifest["fft_workers"] == 2  # 2-D grid
 
 
 def test_diffract_single_slit_nulls_fringe_fields(tmp_path):

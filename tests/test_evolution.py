@@ -218,6 +218,37 @@ def test_split_step_records_2d_one_state_per_block():
     assert_records_match(traj, reference, u, force, 1.0, 1.0)
 
 
+def _rows_potential(grid, rows):
+    """A smooth, positive potential on the given axis-0 rows, exactly 0 on the others."""
+    x, y = grid.meshes
+    u = np.zeros(grid.shape)
+    u[rows] = (3.0 + np.cos(x) * np.sin(0.5 * y))[rows]
+    return u
+
+
+@pytest.mark.parametrize("rows, roll", [
+    ([], 0),  # free: the kick's slab is empty
+    ([0, 1, 2, 61, 62, 63], 32),  # nonzero across the periodic edge: the slab is every row
+    (list(range(28, 35)), 0),  # a wall in the middle: a slab of 7 rows
+], ids=["free", "wrapped", "wall"])
+def test_split_step_2d_slab_kick_matches_plain_strang_loop(rows, roll):
+    grid = make_grid(2, [64, 32], [12.0, 10.0], [-6.0, -5.0])
+    u = _rows_potential(grid, rows)
+    force = [-evolution.spectral_gradient(grid, u, a) for a in range(2)]
+    # the packet sits on the potential's rows (rolled across the periodic edge if need be)
+    packet = gaussian_packet(grid, [-0.3, 0.5], [2.0, -1.0], [0.9, 0.8])
+    psi0 = packet.with_amps(np.roll(packet.amps, roll, axis=0))
+    steps, record_every = 12, 3
+    reference = list(plain_strang(psi0, u, 1.0, 1.0, 2e-2, steps))
+    traj = split_step(psi0, u, 1.0, 1.0, 2e-2, steps, record_every, force_samples=force)
+    assert len(traj.states) == steps // record_every + 1
+    for state, want in zip(traj.states, reference[::record_every]):
+        assert np.max(np.abs(state.amps - want)) <= 1e-12
+    assert_records_match(traj, reference[::record_every], u, force, 1.0, 1.0)
+    final = evolution._strang_propagate(psi0, u, 1.0, 1.0, 2e-2, steps)
+    assert np.max(np.abs(final - reference[-1])) <= 1e-12
+
+
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):
     grid, u, force = harmonic_setup
     psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
