@@ -558,21 +558,21 @@ def check_evolution_operator(
         return h0 + drive_amplitude * np.sin(t) * x_diag
 
     reports = []
-    u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * n_slices, hbar, grid)
+    u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * n_slices, hbar)
     reports.append(_report(
         "evolution-unitarity", "evolution-laws",
         unitarity_defect(u_02.matrix), tol["evolution-unitarity"],
         details=f"n={n} interval=(0,2)",
     ))
-    u_01 = evolution_operator(h_const, 0.0, 1.0, n_slices, hbar, grid)
-    u_12 = evolution_operator(h_const, 1.0, 2.0, n_slices, hbar, grid)
+    u_01 = evolution_operator(h_const, 0.0, 1.0, n_slices, hbar)
+    u_12 = evolution_operator(h_const, 1.0, 2.0, n_slices, hbar)
     composition = float(np.linalg.norm(u_02.matrix - (u_12 @ u_01).matrix))
     reports.append(_report(
         "evolution-composition", "evolution-laws",
         composition, tol["evolution-composition"],
         details="U(0,2) vs U(1,2) @ U(0,1)",
     ))
-    u_back = evolution_operator(h_const, 2.0, 0.0, 2 * n_slices, hbar, grid)
+    u_back = evolution_operator(h_const, 2.0, 0.0, 2 * n_slices, hbar)
     inverse = float(np.linalg.norm(u_02.matrix @ u_back.matrix - np.eye(grid.size)))
     reports.append(_report(
         "evolution-inverse", "evolution-laws",
@@ -583,8 +583,7 @@ def check_evolution_operator(
     # central-difference truncation goes as delta^2 * |H|^3; at this grid's
     # spectral radius (~50) delta must sit below ~7e-5 to clear the 1e-6 gate
     probe_delta = 2e-5
-    b_const = extract_generator(h_const, t=1.0, delta=probe_delta, hbar=hbar,
-                                n_slices=n_slices, grid=grid)
+    b_const = extract_generator(h_const, t=1.0, delta=probe_delta, hbar=hbar, n_slices=n_slices)
     rel_const = float(np.linalg.norm(b_const.matrix - h0) / np.linalg.norm(h0))
     reports.append(_report(
         "generator-constant", "generator-extraction",
@@ -592,9 +591,8 @@ def check_evolution_operator(
         details=f"time-independent H, delta={probe_delta:.0e}",
     ))
     t_probe = 1.0
-    b_driven = extract_generator(
-        h_driven, t=t_probe, delta=probe_delta, hbar=hbar, n_slices=8 * n_slices, grid=grid
-    )
+    b_driven = extract_generator(h_driven, t=t_probe, delta=probe_delta, hbar=hbar,
+                                 n_slices=8 * n_slices)
     h_t = h_driven(t_probe)
     rel_driven = float(np.linalg.norm(b_driven.matrix - h_t) / np.linalg.norm(h_t))
     reports.append(_report(
@@ -618,45 +616,23 @@ def check_evolution_operator(
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sizes, step counts, and the global tolerance scale for run_all."""
+    """The seed and the global tolerance scale for run_all.
+
+    The suite's sizes and step counts are fixed where each group uses them:
+    every pinned tolerance is calibrated at those sizes, so they cannot be
+    set.  A tolerance scale of 0 fails every check.
+    """
 
     seed: int = 2024
     tolerance_scale: float = 1.0
-    norm_n: int = 256
-    norm_length: float = 20.0
-    norm_dt: float = 1e-3
-    norm_steps: int = 10000
-    norm_record_every: int = 100
-    parseval_n: int = 256
-    parseval_states: int = 100
-    ehrenfest_dt: float = 1e-3
-    ehrenfest_record_every: int = 10
-    ehrenfest_steps: int = 6290
-    commutator_n: int = 256
-    commutator_length: float = 40.0
-    commutator_states: int = 5
-    commutant_sizes: tuple[int, ...] = (8, 16)
-    anti_n: int = 16
-    anti_trials: int = 100
-    field_n: int = 256
-    field_trials: int = 50
-    evolution_n: int = 32
-    evolution_slices: int = 64
 
     def __post_init__(self):
-        """Validate every field once, so a bad config fails here with a ValueError."""
-        # an empty list would drop the commutant check from the suite unnoticed
-        if not isinstance(self.commutant_sizes, (list, tuple)) or not self.commutant_sizes:
-            raise ValueError(f"commutant_sizes must be a non-empty list, "
-                             f"got {self.commutant_sizes!r}")
-        object.__setattr__(self, "commutant_sizes", tuple(self.commutant_sizes))
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            # seed 0 is a seed, and tolerance scale 0 is the fail-everything mode
-            positive = field.name not in ("seed", "tolerance_scale")
-            _check_numbers(value, field.name, integer=field.type != "float", positive=positive)
-            if not positive and value < 0:
-                raise ValueError(f"{field.name} must be >= 0, got {value!r}")
+        """Validate both fields once, so a bad config fails here with a ValueError."""
+        _check_numbers(self.seed, "seed", integer=True)
+        _check_numbers(self.tolerance_scale, "tolerance_scale")
+        for name in ("seed", "tolerance_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "VerifyConfig":
@@ -668,101 +644,109 @@ class VerifyConfig:
         return VerifyConfig(**data)
 
     def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["commutant_sizes"] = list(d["commutant_sizes"])
-        return d
+        return dataclasses.asdict(self)
+
+
+# the unit harmonic well that the trajectory groups share, its time step and
+# its record interval
+WELL_N = 256
+WELL_LENGTH = 20.0
+WELL_DT = 1e-3
+WELL_RECORD_EVERY = 10
+COMMUTANT_SIZES = (8, 16)
 
 
 def _scaled(tol: float, config: VerifyConfig) -> float:
     return tol * config.tolerance_scale
 
 
-def _harmonic_setup(n, length):
+def _well_grid() -> Grid:
+    return make_grid(1, WELL_N, WELL_LENGTH, -WELL_LENGTH / 2.0)
+
+
+def _harmonic_setup():
     """Grid, potential and force of the unit well, and its coherent state at x0 = 1."""
-    grid = make_grid(1, n, length, -length / 2.0)
+    grid = _well_grid()
     x = grid.axis_points(0)
     return grid, 0.5 * x**2, -x, gaussian_packet(grid, 1.0, 0.0, np.sqrt(0.5))
 
 
-def _norm_group(config: VerifyConfig) -> list[CheckReport]:
-    """Probability norm under long evolution."""
-    grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
-    traj = split_step(
-        psi0, u, 1.0, 1.0, config.norm_dt, config.norm_steps,
-        config.norm_record_every, force_samples=[force], store_states=False,
-    )
-    return [check_normalization(traj, _scaled(1e-10, config))]
+def _ehrenfest_reports(traj: Trajectory, well: str, tol: float,
+                       config: VerifyConfig) -> list[CheckReport]:
+    return [dataclasses.replace(check(traj, _scaled(tol, config)), name=f"ehrenfest-{law}-{well}")
+            for check, law in ((check_ehrenfest_velocity, "velocity"),
+                               (check_ehrenfest_force, "force"))]
+
+
+def _harmonic_group(config: VerifyConfig) -> list[CheckReport]:
+    """Probability norm and both Ehrenfest laws on one long run in the harmonic well."""
+    _, u, force, psi0 = _harmonic_setup()
+    traj = split_step(psi0, u, 1.0, 1.0, WELL_DT, 10000, WELL_RECORD_EVERY, force_samples=[force],
+                      store_states=False)
+    return [check_normalization(traj, _scaled(1e-10, config)),
+            *_ehrenfest_reports(traj, "harmonic", 1e-5, config)]
+
+
+def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
+    """Both Ehrenfest laws in the quartic well."""
+    grid = _well_grid()
+    x = grid.axis_points(0)
+    psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0)
+    traj = split_step(psi0, 0.25 * x**4, 1.0, 1.0, WELL_DT, 6290, WELL_RECORD_EVERY,
+                      force_samples=[-(x**3)], store_states=False)
+    return _ehrenfest_reports(traj, "quartic", 1e-4, config)
 
 
 def _parseval_group(config: VerifyConfig) -> list[CheckReport]:
     """Momentum route agreement, worst over random states."""
-    grid = make_grid(1, config.parseval_n, config.norm_length, -config.norm_length / 2)
+    grid = _well_grid()
     rng = np.random.default_rng(config.seed)
     reports = [check_parseval_momentum(random_state(grid, rng), _scaled(1e-10, config))
-               for _ in range(config.parseval_states)]
+               for _ in range(100)]
     worst = max(reports, key=lambda r: r.residual)
-    return [dataclasses.replace(worst, details=f"max over {config.parseval_states} random states")]
-
-
-def _ehrenfest_group(config: VerifyConfig) -> list[CheckReport]:
-    """Velocity and force laws in the harmonic and the quartic well."""
-    grid, *harmonic = _harmonic_setup(config.norm_n, config.norm_length)
-    x = grid.axis_points(0)
-    quartic = (0.25 * x**4, -(x**3), gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0))
-    reports = []
-    for well, (u, force, psi0), tol in (("harmonic", harmonic, 1e-5), ("quartic", quartic, 1e-4)):
-        traj = split_step(
-            psi0, u, 1.0, 1.0, config.ehrenfest_dt, config.ehrenfest_steps,
-            config.ehrenfest_record_every, force_samples=[force], store_states=False,
-        )
-        for check, law in ((check_ehrenfest_velocity, "velocity"), (check_ehrenfest_force, "force")):
-            report = check(traj, _scaled(tol, config))
-            reports.append(dataclasses.replace(report, name=f"ehrenfest-{law}-{well}"))
-    return reports
+    return [dataclasses.replace(worst, details="max over 100 random states")]
 
 
 def _commutator_group(config: VerifyConfig) -> list[CheckReport]:
     """Commutator system on interior Gaussian states."""
-    length = config.commutator_length
-    grid = make_grid(1, config.commutator_n, length, -length / 2)
+    grid = make_grid(1, 256, 40.0, -20.0)
     x = grid.axis_points(0)
-    centers = np.linspace(-2.0, 2.0, config.commutator_states)
-    momenta = np.linspace(-1.0, 1.0, config.commutator_states)
-    states = [gaussian_packet(grid, c, p, 1.0, 1.0, 1.0) for c, p in zip(centers, momenta)]
+    states = [gaussian_packet(grid, c, p, 1.0, 1.0, 1.0)
+              for c, p in zip(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 5))]
     return [check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states, force_samples=-x,
                                     tolerance=_scaled(1e-6, config))]
 
 
 def _commutant_group(config: VerifyConfig) -> list[CheckReport]:
-    """Triviality of the {x, p} commutant at each configured size."""
+    """Triviality of the {x, p} commutant at each size."""
     return [
         dataclasses.replace(check_commutant_uniqueness(size, tolerance=_scaled(1e-8, config)),
                             name=f"commutant-uniqueness-n{size}")
-        for size in config.commutant_sizes
+        for size in COMMUTANT_SIZES
     ]
 
 
 def _antihermitian_group(config: VerifyConfig) -> list[CheckReport]:
-    return [check_antihermitian_exponential(config.anti_n, config.anti_trials, seed=config.seed,
+    return [check_antihermitian_exponential(16, 100, seed=config.seed,
                                             tolerance=_scaled(1e-10, config))]
 
 
 def _field_group(config: VerifyConfig) -> list[CheckReport]:
     """Field-energy Parseval identity on random fields and on one harmonic."""
-    grid = make_grid(1, config.field_n, 2.0 * np.pi, 0.0)
+    grid = make_grid(1, 256, 2.0 * np.pi, 0.0)
     rng = np.random.default_rng(config.seed + 1)
     worst = max(
         check_field_energy_parseval(random_smooth_fields(grid, rng), _scaled(1e-12, config)).residual
-        for _ in range(config.field_trials)
+        for _ in range(50)
     )
     # analytic single-harmonic case: total energy must be exactly 1/4
-    e = np.zeros((3, config.field_n))
-    h = np.zeros((3, config.field_n))
+    e = np.zeros((3, 256))
+    h = np.zeros((3, 256))
     e[1] = h[2] = np.sin(grid.axis_points(0))
     w_real = float(np.sum(e**2) + np.sum(h**2)) * grid.cell_volume / (8.0 * np.pi)
     return [
         _report("field-energy-parseval", "field-energy", worst, _scaled(1e-12, config),
-                details=f"max over {config.field_trials} random smooth configurations"),
+                details="max over 50 random smooth configurations"),
         _report("field-energy-sine", "field-energy", abs(w_real - 0.25), _scaled(1e-10, config),
                 details=f"w_real={w_real:.15e} expected=0.25"),
     ]
@@ -770,55 +754,52 @@ def _field_group(config: VerifyConfig) -> list[CheckReport]:
 
 def _superposition_group(config: VerifyConfig) -> list[CheckReport]:
     """Linearity of the propagator."""
-    grid, u, _, _ = _harmonic_setup(config.norm_n, config.norm_length)
+    grid, u, _, _ = _harmonic_setup()
     psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
     psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-    return [check_superposition(grid, u, psi1, psi2, config.ehrenfest_dt, 1000,
-                                tolerance=_scaled(1e-10, config))]
+    return [check_superposition(grid, u, psi1, psi2, WELL_DT, 1000, tolerance=_scaled(1e-10, config))]
 
 
 def _gauge_group(config: VerifyConfig) -> list[CheckReport]:
     """A constant shift of the potential."""
-    grid, u, force, psi0 = _harmonic_setup(config.norm_n, config.norm_length)
-    return [check_gauge_shift(grid, u, psi0, config.ehrenfest_dt, 2000,
-                              config.ehrenfest_record_every, force_samples=[force],
+    grid, u, force, psi0 = _harmonic_setup()
+    return [check_gauge_shift(grid, u, psi0, WELL_DT, 2000, WELL_RECORD_EVERY, force_samples=[force],
                               tolerance=_scaled(1e-10, config))]
 
 
 def _evolution_group(config: VerifyConfig) -> list[CheckReport]:
-    return check_evolution_operator(config.evolution_n, n_slices=config.evolution_slices,
-                                    tolerance_scale=config.tolerance_scale)
+    return check_evolution_operator(tolerance_scale=config.tolerance_scale)
 
 
-def _suite(config: VerifyConfig) -> tuple:
-    """Each group of run_all with the (name, tag) of every report it emits.
+def _ehrenfest_names(well: str) -> list[tuple[str, str]]:
+    return [(f"ehrenfest-{law}-{well}", f"{law}-law") for law in ("velocity", "force")]
 
-    A group takes the config and returns its reports.  It looks the checks,
-    split_step and random_smooth_fields up as module globals when it runs, so
-    rebinding one of them on the module reaches the suite.
-    """
-    return (
-        (_norm_group, [("normalization", "probability-norm")]),
-        (_parseval_group, [("momentum-parseval", "momentum-spectral")]),
-        (_ehrenfest_group, [(f"ehrenfest-{law}-{well}", f"{law}-law")
-                            for well in ("harmonic", "quartic") for law in ("velocity", "force")]),
-        (_commutator_group, [("commutator-system", "generator-equations")]),
-        (_commutant_group, [(f"commutant-uniqueness-n{size}", "commutant-scalars")
-                            for size in config.commutant_sizes]),
-        (_antihermitian_group, [("antihermitian-exponential", "unitary-generator")]),
-        (_field_group, [("field-energy-parseval", "field-energy"),
-                        ("field-energy-sine", "field-energy")]),
-        (_superposition_group, [("superposition", "linearity")]),
-        (_gauge_group, [("gauge-shift", "constant-in-potential")]),
-        (_evolution_group, [(f"evolution-{law}", "evolution-laws")
-                            for law in ("unitarity", "composition", "inverse")]
-                           + [(f"generator-{case}", "generator-extraction")
-                              for case in ("constant", "driven", "hermiticity")]),
-    )
+
+# Each group of run_all with the (name, tag) of every report it emits.  A group
+# takes the config and returns its reports.  It looks the checks, split_step,
+# make_grid and random_smooth_fields up as module globals when it runs, so
+# rebinding one of them on the module reaches the suite.
+_SUITE = (
+    (_harmonic_group, [("normalization", "probability-norm"), *_ehrenfest_names("harmonic")]),
+    (_quartic_group, _ehrenfest_names("quartic")),
+    (_parseval_group, [("momentum-parseval", "momentum-spectral")]),
+    (_commutator_group, [("commutator-system", "generator-equations")]),
+    (_commutant_group, [(f"commutant-uniqueness-n{size}", "commutant-scalars")
+                        for size in COMMUTANT_SIZES]),
+    (_antihermitian_group, [("antihermitian-exponential", "unitary-generator")]),
+    (_field_group, [("field-energy-parseval", "field-energy"),
+                    ("field-energy-sine", "field-energy")]),
+    (_superposition_group, [("superposition", "linearity")]),
+    (_gauge_group, [("gauge-shift", "constant-in-potential")]),
+    (_evolution_group, [(f"evolution-{law}", "evolution-laws")
+                        for law in ("unitarity", "composition", "inverse")]
+                       + [(f"generator-{case}", "generator-extraction")
+                          for case in ("constant", "driven", "hermiticity")]),
+)
 
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
-    """Run every check with the configured sizes; deterministic under the seed.
+    """Run every check at the suite's fixed sizes; deterministic under the seed.
 
     A group of checks that raises does not abort the suite: each of its
     checks is reported as failed, under the check's own name and tag, with
@@ -827,7 +808,7 @@ def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
-    for group, names in _suite(config):
+    for group, names in _SUITE:
         try:
             reports.extend(group(config))
         except Exception as exc:  # noqa: BLE001 - the suite must not abort

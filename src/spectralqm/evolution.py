@@ -270,7 +270,6 @@ class EvolutionOperator:
     matrix: np.ndarray
     t1: float
     t2: float
-    grid: Grid | None = None
 
     def __post_init__(self):
         defect = unitarity_defect(self.matrix)
@@ -281,7 +280,7 @@ class EvolutionOperator:
         """Compose with an earlier-interval operator: (self @ other) spans other.t1 -> self.t2."""
         if abs(other.t2 - self.t1) > 1e-12:
             raise ValueError("composition requires other.t2 == self.t1")
-        return EvolutionOperator(self.matrix @ other.matrix, other.t1, self.t2, self.grid)
+        return EvolutionOperator(self.matrix @ other.matrix, other.t1, self.t2)
 
 
 def _expm_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
@@ -299,7 +298,7 @@ def dense_propagator(h_dense, delta_t: float, hbar: float = 1.0) -> EvolutionOpe
     if defect > HERMITICITY_PRE_TOL:
         raise ValueError(f"dense propagator needs Hermitian H (defect {defect:.3e})")
     u = _expm_hermitian(h, -1j * delta_t / hbar)
-    return EvolutionOperator(u, 0.0, delta_t, getattr(h_dense, "grid", None))
+    return EvolutionOperator(u, 0.0, delta_t)
 
 
 def _hermitian_at(h_of_t, t: float) -> np.ndarray:
@@ -316,7 +315,6 @@ def evolution_operator(
     t2: float,
     n_slices: int = 1,
     hbar: float = 1.0,
-    grid: Grid | None = None,
 ) -> EvolutionOperator:
     """Two-time evolution operator as a time-ordered product of midpoint slices.
 
@@ -335,7 +333,7 @@ def evolution_operator(
         for s in range(n_slices):
             mid = t1 + (s + 0.5) * dt
             u = _expm_hermitian(_hermitian_at(h_of_t, mid), -1j * dt / hbar) @ u
-    return EvolutionOperator(u, t1, t2, grid)
+    return EvolutionOperator(u, t1, t2)
 
 
 def extract_generator(
@@ -345,7 +343,6 @@ def extract_generator(
     hbar: float = 1.0,
     t0: float = 0.0,
     n_slices: int = 16,
-    grid: Grid | None = None,
 ) -> DenseOperator:
     """Recover the Hermitian generator from the evolution operator family.
 
@@ -362,12 +359,12 @@ def extract_generator(
     if t - delta < t0:
         raise ValueError("need t - delta >= t0")
     leg_slices = 4
-    u_minus = evolution_operator(h_of_t, t0, t - delta, n_slices, hbar, grid)
-    u_center = evolution_operator(h_of_t, t - delta, t, leg_slices, hbar, grid) @ u_minus
-    u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices, hbar, grid) @ u_center
+    u_minus = evolution_operator(h_of_t, t0, t - delta, n_slices, hbar)
+    u_center = evolution_operator(h_of_t, t - delta, t, leg_slices, hbar) @ u_minus
+    u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices, hbar) @ u_center
     diff = (u_plus.matrix - u_minus.matrix) / (2.0 * delta)
     b = 1j * hbar * diff @ u_center.matrix.conj().T
-    return DenseOperator(b, grid, label="generator")
+    return DenseOperator(b, label="generator")
 
 
 def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:

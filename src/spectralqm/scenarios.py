@@ -208,21 +208,12 @@ def build(config: ScenarioConfig) -> tuple[Grid, np.ndarray, Wavefunction]:
     return grid, u, psi0
 
 
-def run(config: ScenarioConfig, store_states: bool = False) -> Trajectory:
-    """Propagate the configured scenario; records per `record_every`."""
+def run(config: ScenarioConfig) -> Trajectory:
+    """Propagate the configured scenario; records per `record_every`, final state only."""
     grid, u, psi0 = build(config)
-    force = _analytic_force(grid, config.potential)
-    return split_step(
-        psi0,
-        u,
-        config.mass,
-        config.hbar,
-        config.dt,
-        config.steps,
-        config.record_every,
-        force_samples=force,
-        store_states=store_states,
-    )
+    return split_step(psi0, u, config.mass, config.hbar, config.dt, config.steps,
+                      config.record_every, force_samples=_analytic_force(grid, config.potential),
+                      store_states=False)
 
 
 # ---------------------------------------------------------------------------

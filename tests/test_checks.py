@@ -1,6 +1,8 @@
 """The named check suite: positive cases, negative controls, determinism."""
 
 import dataclasses
+import inspect
+import types
 
 import numpy as np
 import pytest
@@ -345,6 +347,40 @@ def test_field_configuration_validates_shapes(field_grid):
         FieldConfiguration(grid2, np.zeros((3, 16)), np.zeros((3, 16)))
 
 
+def _field_reports():
+    """The field-energy reports of run_all by name; the group must not raise."""
+    return {r.name: r for r in checks._field_group(VerifyConfig())}
+
+
+def test_field_energy_parseval_sees_a_one_percent_transform_error(monkeypatch):
+    assert all(r.passed for r in _field_reports().values())
+    original = checks.to_momentum
+
+    def scaled(psi):
+        phi = original(psi)
+        return dataclasses.replace(phi, amps=1.01 * phi.amps)
+
+    monkeypatch.setattr(checks, "to_momentum", scaled)
+    reports = _field_reports()
+    assert reports["field-energy-parseval"].tolerance == 1e-12
+    assert not reports["field-energy-parseval"].passed
+    assert reports["field-energy-sine"].passed
+
+
+def test_field_energy_sine_sees_a_one_percent_stretched_grid(monkeypatch):
+    original = checks.make_grid
+
+    def stretched(dim, n, length, origin):
+        return original(dim, n, 1.01 * length, origin)
+
+    monkeypatch.setattr(checks, "make_grid", stretched)
+    reports = _field_reports()
+    assert reports["field-energy-sine"].tolerance == 1e-10
+    assert not reports["field-energy-sine"].passed
+    # the Parseval identity holds on any grid
+    assert reports["field-energy-parseval"].passed
+
+
 # ---------------------------------------------------------------------------
 # linearity, gauge, evolution laws
 # ---------------------------------------------------------------------------
@@ -418,6 +454,76 @@ def test_evolution_operator_reports():
         assert r.passed, f"{r.name}: {r.residual} > {r.tolerance}"
 
 
+def _with_phase(phase):
+    """evolution_operator with a global phase exp(i phase(t1, t2)): still unitary."""
+    original = checks.evolution_operator
+
+    def shifted(h_of_t, t1, t2, *args, **kwargs):
+        u = original(h_of_t, t1, t2, *args, **kwargs)
+        return dataclasses.replace(u, matrix=np.exp(1j * phase(t1, t2)) * u.matrix)
+
+    return "evolution_operator", shifted
+
+
+def _non_unitary_0_2():
+    """The U(0, 2) of the unitarity report scaled by 1 + 1e-8, past the constructor's gate."""
+    original = checks.evolution_operator
+
+    def leaky(h_of_t, t1, t2, *args, **kwargs):
+        u = original(h_of_t, t1, t2, *args, **kwargs)
+        if (t1, t2) != (0.0, 2.0):
+            return u
+        return types.SimpleNamespace(matrix=(1.0 + 1e-8) * u.matrix, t1=t1, t2=t2)
+
+    return "evolution_operator", leaky
+
+
+def _generator_fault(fault):
+    original = checks.extract_generator
+
+    def faulty(h_of_t, *args, **kwargs):
+        return fault(original, h_of_t, *args, **kwargs)
+
+    return "extract_generator", faulty
+
+
+def _scaled_generator(original, h_of_t, *args, **kwargs):
+    b = original(h_of_t, *args, **kwargs)
+    return dataclasses.replace(b, matrix=1.01 * b.matrix)
+
+
+def _undriven_generator(original, h_of_t, *args, **kwargs):
+    # the drive is dropped: H is frozen at t = 0
+    return original(lambda _t: h_of_t(0.0), *args, **kwargs)
+
+
+def _non_hermitian_generator(original, h_of_t, *args, **kwargs):
+    b = original(h_of_t, *args, **kwargs)
+    return dataclasses.replace(b, matrix=b.matrix + 1e-4j * np.eye(len(b.matrix)))
+
+
+# one fault per report, as (module global of checks, its replacement)
+EVOLUTION_FAULTS = {
+    "evolution-unitarity": _non_unitary_0_2,
+    # the phase of U(0,2) is not the sum of the phases of U(0,1) and U(1,2)
+    "evolution-composition": lambda: _with_phase(lambda t1, t2: 1e-6 * (t2 - t1) ** 2),
+    # forward and backward runs gain the same phase, so U(2,0) does not undo U(0,2)
+    "evolution-inverse": lambda: _with_phase(lambda t1, t2: 1e-6 * abs(t2 - t1)),
+    "generator-constant": lambda: _generator_fault(_scaled_generator),
+    "generator-driven": lambda: _generator_fault(_undriven_generator),
+    "generator-hermiticity": lambda: _generator_fault(_non_hermitian_generator),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLUTION_FAULTS))
+def test_evolution_operator_report_sees_its_fault(monkeypatch, name):
+    monkeypatch.setattr(checks, *EVOLUTION_FAULTS[name]())
+    reports = {r.name: r for r in check_evolution_operator(16, length=8.0, n_slices=32)}
+    assert set(reports) == EVOLUTION_REPORTS
+    assert not reports[name].passed, f"{name}: {reports[name].residual}"
+    assert reports[name].tolerance > 0.0
+
+
 def test_evolution_operator_zero_tolerance_scale_fails_every_report():
     reports = check_evolution_operator(16, length=8.0, n_slices=32, tolerance_scale=0.0)
     assert {r.name for r in reports} == EVOLUTION_REPORTS
@@ -476,19 +582,36 @@ def test_run_all_zero_tolerance_fails_everything():
     assert all(not r.passed for r in reports)
 
 
-def test_run_all_failed_groups_keep_their_report_names():
-    # every group raises: the grid sizes are no power of two, the commutant
-    # size is below 4 and the anti-Hermitian size above 64
-    reports = run_all(VerifyConfig(norm_n=3, parseval_n=3, commutator_n=3,
-                                   commutant_sizes=(3,), anti_n=65, field_n=3,
-                                   evolution_n=2))
-    expected = [(name, tag) for name, tag, _ in DEFAULT_REPORTS
-                if not name.startswith("commutant-")]
-    expected = sorted(expected + [("commutant-uniqueness-n3", "commutant-scalars")])
-    assert [(r.name, r.tag) for r in reports] == expected
+def test_run_all_failed_groups_keep_their_report_names(monkeypatch):
+    # every group raises: all but the anti-Hermitian one build a grid, and
+    # that one measures through unitarity_defect
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(checks, "make_grid", broken)
+    monkeypatch.setattr(checks, "unitarity_defect", broken)
+    reports = run_all()
+    assert [(r.name, r.tag) for r in reports] == [(name, tag) for name, tag, _ in DEFAULT_REPORTS]
     for r in reports:
         assert not r.passed and r.residual == float("inf") and r.tolerance == 0.0
         assert r.details.startswith("error: ")
+
+
+def test_run_all_runs_seven_split_steps(monkeypatch):
+    # one harmonic run serves the norm and both harmonic Ehrenfest laws
+    real_split_step = checks.split_step
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(inspect.signature(real_split_step).bind(*args, **kwargs).arguments["steps"])
+        return real_split_step(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "split_step", counted)
+    reports = {r.name: r for r in run_all()}
+    assert len(steps) == 7 and sum(steps) == 23290
+    assert all(r.passed for r in reports.values())
+    for name in ("normalization", "ehrenfest-velocity-harmonic", "ehrenfest-force-harmonic"):
+        assert "records=1001" in reports[name].details
 
 
 def test_run_all_deterministic():

@@ -401,9 +401,13 @@ def test_verify_rejects_unknown_config_key(tmp_path, capsys):
     ({"commutant_sizes": 5}, [], "commutant_sizes"),
     ({"commutant_sizes": []}, [], "commutant_sizes"),
     ([1], [], "JSON object"),
+    # the suite's sizes are fixed, so a config cannot thin out the certificate
+    ({"parseval_states": 1}, [], "parseval_states"),
+    ({"norm_steps": 100}, [], "norm_steps"),
 ], ids=["seed-string", "norm-n-float", "norm-steps-float", "record-every-zero",
         "tolerance-scale-string", "tolerance-scale-nan", "tolerance-scale-negative",
-        "commutant-sizes-int", "commutant-sizes-empty", "top-level-list"])
+        "commutant-sizes-int", "commutant-sizes-empty", "top-level-list",
+        "parseval-states-one", "norm-steps-fewer"])
 def test_verify_bad_config_value_is_usage_error(tmp_path, capsys, config, flags, named):
     path = write_config(tmp_path, "v.json", config)
     out = tmp_path / "o"

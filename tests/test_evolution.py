@@ -366,52 +366,52 @@ def driven_system():
 
 def test_evolution_operator_zero_interval(driven_system):
     grid, h0, _ = driven_system
-    u = evolution_operator(lambda t: h0, 1.0, 1.0, 4, grid=grid)
+    u = evolution_operator(lambda t: h0, 1.0, 1.0, 4)
     assert np.max(np.abs(u.matrix - np.eye(grid.size))) == 0.0
 
 
 def test_evolution_operator_composition(driven_system):
     grid, h0, _ = driven_system
     const = lambda t: h0
-    u02 = evolution_operator(const, 0.0, 2.0, 32, grid=grid)
-    u01 = evolution_operator(const, 0.0, 1.0, 16, grid=grid)
-    u12 = evolution_operator(const, 1.0, 2.0, 16, grid=grid)
+    u02 = evolution_operator(const, 0.0, 2.0, 32)
+    u01 = evolution_operator(const, 0.0, 1.0, 16)
+    u12 = evolution_operator(const, 1.0, 2.0, 16)
     assert np.linalg.norm(u02.matrix - (u12 @ u01).matrix) < 1e-10
 
 
 def test_evolution_operator_inverse(driven_system):
     grid, _, h_of_t = driven_system
-    forward = evolution_operator(h_of_t, 0.0, 1.5, 64, grid=grid)
-    backward = evolution_operator(h_of_t, 1.5, 0.0, 64, grid=grid)
+    forward = evolution_operator(h_of_t, 0.0, 1.5, 64)
+    backward = evolution_operator(h_of_t, 1.5, 0.0, 64)
     assert np.linalg.norm(forward.matrix @ backward.matrix - np.eye(grid.size)) < 1e-9
 
 
 def test_evolution_operator_composition_mismatch(driven_system):
     grid, h0, _ = driven_system
     const = lambda t: h0
-    u01 = evolution_operator(const, 0.0, 1.0, 8, grid=grid)
-    u23 = evolution_operator(const, 2.0, 3.0, 8, grid=grid)
+    u01 = evolution_operator(const, 0.0, 1.0, 8)
+    u23 = evolution_operator(const, 2.0, 3.0, 8)
     with pytest.raises(ValueError):
         _ = u23 @ u01
 
 
 def test_extract_generator_constant(driven_system):
     grid, h0, _ = driven_system
-    b = extract_generator(lambda t: h0, t=1.0, delta=1e-4, n_slices=16, grid=grid)
+    b = extract_generator(lambda t: h0, t=1.0, delta=1e-4, n_slices=16)
     assert np.linalg.norm(b.matrix - h0) / np.linalg.norm(h0) < 1e-6
 
 
 def test_extract_generator_driven(driven_system):
     grid, _, h_of_t = driven_system
     t_probe = 1.0
-    b = extract_generator(h_of_t, t=t_probe, delta=1e-4, n_slices=256, grid=grid)
+    b = extract_generator(h_of_t, t=t_probe, delta=1e-4, n_slices=256)
     target = h_of_t(t_probe)
     assert np.linalg.norm(b.matrix - target) / np.linalg.norm(target) < 1e-4
 
 
 def test_extract_generator_hermitian(driven_system):
     grid, _, h_of_t = driven_system
-    b = extract_generator(h_of_t, t=1.0, delta=1e-4, n_slices=64, grid=grid)
+    b = extract_generator(h_of_t, t=1.0, delta=1e-4, n_slices=64)
     from spectralqm import hermiticity_defect
 
     assert hermiticity_defect(b.matrix) < 1e-6
@@ -420,9 +420,9 @@ def test_extract_generator_hermitian(driven_system):
 def test_extract_generator_validates_delta(driven_system):
     grid, h0, _ = driven_system
     with pytest.raises(ValueError):
-        extract_generator(lambda t: h0, t=1.0, delta=-1.0, grid=grid)
+        extract_generator(lambda t: h0, t=1.0, delta=-1.0)
     with pytest.raises(ValueError):
-        extract_generator(lambda t: h0, t=0.0, delta=1e-4, grid=grid)
+        extract_generator(lambda t: h0, t=0.0, delta=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -138,21 +138,12 @@ def test_config_round_trips_losslessly():
 
 
 def test_run_is_deterministic():
-    a = run(harmonic_config(), store_states=True)
-    b = run(harmonic_config(), store_states=True)
+    a = run(harmonic_config())
+    b = run(harmonic_config())
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.x_mean, b.x_mean)
     assert np.array_equal(a.energy, b.energy)
     assert np.array_equal(a.states[-1].amps, b.states[-1].amps)
-
-
-def test_run_streamed_records_match_stored():
-    cfg = harmonic_config()
-    streamed = run(cfg, store_states=False)
-    stored = run(cfg, store_states=True)
-    for field in ("times", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy"):
-        assert np.array_equal(getattr(streamed, field), getattr(stored, field))
-    assert len(streamed.states) == 1 and len(stored.states) == len(stored.times)
 
 
 def test_run_free_packet_momentum_constant():
