@@ -1,9 +1,9 @@
 """Spectral quantum dynamics on periodic grids.
 
-Wavefunctions and observables on 1-D/2-D periodic grids, split-step and
-dense unitary propagation, scenario simulations (free packet, harmonic and
-quartic wells, two-slit diffraction), and a named check suite that certifies
-the framework's identities numerically.
+Wavefunctions and observables on 1-D/2-D periodic grids, split-step
+propagation, the two-time evolution operator, scenario simulations (free
+packet, harmonic and quartic wells, two-slit diffraction), and a named check
+suite that certifies the framework's identities numerically.
 """
 
 __version__ = "0.1.0"
@@ -42,9 +42,7 @@ from .operators import (
     to_dense,
 )
 from .evolution import (
-    EvolutionOperator,
     Trajectory,
-    dense_propagator,
     evolution_operator,
     extract_generator,
     spectrum,

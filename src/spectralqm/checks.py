@@ -561,19 +561,19 @@ def check_evolution_operator(
     u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * n_slices, hbar)
     reports.append(_report(
         "evolution-unitarity", "evolution-laws",
-        unitarity_defect(u_02.matrix), tol["evolution-unitarity"],
+        unitarity_defect(u_02), tol["evolution-unitarity"],
         details=f"n={n} interval=(0,2)",
     ))
     u_01 = evolution_operator(h_const, 0.0, 1.0, n_slices, hbar)
     u_12 = evolution_operator(h_const, 1.0, 2.0, n_slices, hbar)
-    composition = float(np.linalg.norm(u_02.matrix - (u_12 @ u_01).matrix))
+    composition = float(np.linalg.norm(u_02 - u_12 @ u_01))
     reports.append(_report(
         "evolution-composition", "evolution-laws",
         composition, tol["evolution-composition"],
         details="U(0,2) vs U(1,2) @ U(0,1)",
     ))
     u_back = evolution_operator(h_const, 2.0, 0.0, 2 * n_slices, hbar)
-    inverse = float(np.linalg.norm(u_02.matrix @ u_back.matrix - np.eye(grid.size)))
+    inverse = float(np.linalg.norm(u_02 @ u_back - np.eye(grid.size)))
     reports.append(_report(
         "evolution-inverse", "evolution-laws",
         inverse, tol["evolution-inverse"],
@@ -584,7 +584,7 @@ def check_evolution_operator(
     # spectral radius (~50) delta must sit below ~7e-5 to clear the 1e-6 gate
     probe_delta = 2e-5
     b_const = extract_generator(h_const, t=1.0, delta=probe_delta, hbar=hbar, n_slices=n_slices)
-    rel_const = float(np.linalg.norm(b_const.matrix - h0) / np.linalg.norm(h0))
+    rel_const = float(np.linalg.norm(b_const - h0) / np.linalg.norm(h0))
     reports.append(_report(
         "generator-constant", "generator-extraction",
         rel_const, tol["generator-constant"],
@@ -594,13 +594,13 @@ def check_evolution_operator(
     b_driven = extract_generator(h_driven, t=t_probe, delta=probe_delta, hbar=hbar,
                                  n_slices=8 * n_slices)
     h_t = h_driven(t_probe)
-    rel_driven = float(np.linalg.norm(b_driven.matrix - h_t) / np.linalg.norm(h_t))
+    rel_driven = float(np.linalg.norm(b_driven - h_t) / np.linalg.norm(h_t))
     reports.append(_report(
         "generator-driven", "generator-extraction",
         rel_driven, tol["generator-driven"],
         details=f"drive={drive_amplitude}*sin(t)*x at t={t_probe}",
     ))
-    herm = max(hermiticity_defect(b_const.matrix), hermiticity_defect(b_driven.matrix))
+    herm = max(hermiticity_defect(b_const), hermiticity_defect(b_driven))
     reports.append(_report(
         "generator-hermiticity", "generator-extraction",
         herm, tol["generator-hermiticity"],

@@ -1,5 +1,5 @@
-"""Time evolution: split-step propagation, dense unitary propagators, the
-two-time evolution operator with its generator, and bound-state spectra.
+"""Time evolution: split-step propagation, the two-time evolution operator
+with its generator, and bound-state spectra.
 
 The split-step integrator uses Strang splitting (exact potential half-kick,
 exact kinetic drift in k-space, half-kick), so the norm is conserved to
@@ -7,8 +7,9 @@ roundoff and the global error is O(dt^2).  Between kicks it holds the state
 in a mixed representation, Fourier transformed along every axis but axis 0:
 a drift is one FFT pair along axis 0, and a kick transforms back only the
 slab of axis-0 rows where the potential is nonzero.  Its records are reduced
-a block of states at a time.  Dense propagators go through a Hermitian
-eigendecomposition, which keeps them unitary to roundoff as well.  Spectra
+a block of states at a time.  The evolution operator is a plain unitary
+matrix, a time-ordered product of slices exp(-i H dt / hbar), each through a
+Hermitian eigendecomposition, which keeps it unitary to roundoff.  Spectra
 of grid operators are matrix-free up to N/32 levels: ARPACK applies the
 operator through its own `_apply_amps`, and a Rayleigh-Ritz step plus a
 deflated ARPACK run make the states orthonormal and check that no copy of a
@@ -36,17 +37,13 @@ from .operators import (
 
 __all__ = [
     "Trajectory",
-    "EvolutionOperator",
     "split_step",
-    "dense_propagator",
     "evolution_operator",
     "extract_generator",
     "unitarity_defect",
     "spectrum",
 ]
 
-DENSE_PROPAGATOR_LIMIT = 1024
-UNITARITY_TOL = 1e-9
 HERMITICITY_PRE_TOL = 1e-10
 # spectrum solves a request for at least this share of the grid's levels
 # densely (see `spectrum`)
@@ -259,46 +256,13 @@ def split_step(
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """||U^dagger U - I||_F."""
-    m = _as_matrix(matrix)
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-
-
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """Dense unitary mapping states at t1 to states at t2."""
-
-    matrix: np.ndarray
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        defect = unitarity_defect(self.matrix)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"evolution operator unitarity defect {defect:.3e} > {UNITARITY_TOL}")
-
-    def __matmul__(self, other: "EvolutionOperator") -> "EvolutionOperator":
-        """Compose with an earlier-interval operator: (self @ other) spans other.t1 -> self.t2."""
-        if abs(other.t2 - self.t1) > 1e-12:
-            raise ValueError("composition requires other.t2 == self.t1")
-        return EvolutionOperator(self.matrix @ other.matrix, other.t1, self.t2)
+    return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
 
 
 def _expm_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
     """exp(factor * H) via eigendecomposition; exactly unitary for imaginary factor."""
     evals, vecs = sla.eigh(h)
     return (vecs * np.exp(factor * evals)) @ vecs.conj().T
-
-
-def dense_propagator(h_dense, delta_t: float, hbar: float = 1.0) -> EvolutionOperator:
-    """U = exp(-i H delta_t / hbar) for a Hermitian dense H."""
-    h = _as_matrix(h_dense)
-    if h.shape[0] > DENSE_PROPAGATOR_LIMIT:
-        raise ValueError(f"dense propagator limited to {DENSE_PROPAGATOR_LIMIT} points")
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_PRE_TOL:
-        raise ValueError(f"dense propagator needs Hermitian H (defect {defect:.3e})")
-    u = _expm_hermitian(h, -1j * delta_t / hbar)
-    return EvolutionOperator(u, 0.0, delta_t)
 
 
 def _hermitian_at(h_of_t, t: float) -> np.ndarray:
@@ -315,8 +279,8 @@ def evolution_operator(
     t2: float,
     n_slices: int = 1,
     hbar: float = 1.0,
-) -> EvolutionOperator:
-    """Two-time evolution operator as a time-ordered product of midpoint slices.
+) -> np.ndarray:
+    """Two-time evolution operator U(t1, t2) as a time-ordered product of midpoint slices.
 
     Each slice contributes exp(-i H(t_mid) dt / hbar); later slices multiply
     from the left, so states compose as psi(t2) = U(t1,t2) psi(t1) and
@@ -333,7 +297,7 @@ def evolution_operator(
         for s in range(n_slices):
             mid = t1 + (s + 0.5) * dt
             u = _expm_hermitian(_hermitian_at(h_of_t, mid), -1j * dt / hbar) @ u
-    return EvolutionOperator(u, t1, t2)
+    return u
 
 
 def extract_generator(
@@ -343,8 +307,8 @@ def extract_generator(
     hbar: float = 1.0,
     t0: float = 0.0,
     n_slices: int = 16,
-) -> DenseOperator:
-    """Recover the Hermitian generator from the evolution operator family.
+) -> np.ndarray:
+    """Recover the Hermitian generator matrix from the evolution operator family.
 
     Central difference in the second time argument:
 
@@ -362,9 +326,8 @@ def extract_generator(
     u_minus = evolution_operator(h_of_t, t0, t - delta, n_slices, hbar)
     u_center = evolution_operator(h_of_t, t - delta, t, leg_slices, hbar) @ u_minus
     u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices, hbar) @ u_center
-    diff = (u_plus.matrix - u_minus.matrix) / (2.0 * delta)
-    b = 1j * hbar * diff @ u_center.matrix.conj().T
-    return DenseOperator(b, label="generator")
+    diff = (u_plus - u_minus) / (2.0 * delta)
+    return 1j * hbar * diff @ u_center.conj().T
 
 
 def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:

@@ -143,7 +143,6 @@ class DenseOperator:
 
     matrix: np.ndarray
     grid: Grid | None = None
-    label: str = "dense"
 
     def __post_init__(self):
         m = self.matrix
@@ -249,7 +248,7 @@ def to_dense(op: LinearOperator, grid: Grid | None = None) -> DenseOperator:
     # rows holds M^T; M is stored as a C-ordered copy because the F-ordered
     # view rows.T raised the peak memory of `verify` by about 1 MB
     matrix = np.ascontiguousarray(rows.reshape(n_total, n_total).T)
-    return DenseOperator(matrix, grid, label=op.label)
+    return DenseOperator(matrix, grid)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -263,7 +262,7 @@ def commutator(a, b) -> DenseOperator:
         raise ValueError(f"commutator dimension mismatch: {ma.shape} vs {mb.shape}")
     grid = a.grid if isinstance(a, DenseOperator) else (
         b.grid if isinstance(b, DenseOperator) else None)
-    return DenseOperator(ma @ mb - mb @ ma, grid, label="commutator")
+    return DenseOperator(ma @ mb - mb @ ma, grid)
 
 
 def hermiticity_defect(m) -> float:

@@ -294,8 +294,13 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     positions = spec["positions"]
     wall_x = float(positions["wall"])
     detector_x = float(positions["detector"])
-    if detector_x <= wall_x:
-        raise ValueError("detector must sit beyond the wall")
+    x_start, x_end = grid.origin[0], grid.origin[0] + grid.length[0]
+    # the detector column is the nearest grid column, so one outside the box
+    # would silently read the edge column
+    if not x_start <= wall_x < detector_x < x_end:
+        raise ValueError(f"the detector must sit beyond the wall, both inside the box: need "
+                         f"{x_start:g} <= wall < detector < {x_end:g} along x, got wall "
+                         f"{wall_x:g} and detector {detector_x:g}")
     p0 = np.atleast_1d(np.asarray(config.initial["p0"], dtype=float))
     p0x = float(p0[0])
     if p0x <= 0:

@@ -490,6 +490,30 @@ def test_diffract_without_peaks_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diffract_detector_outside_the_box_is_usage_error(tmp_path, capsys):
+    from test_scenarios import fast_two_slit_config
+
+    # x spans [-0.21, 0.21): a detector at 0.5 would read the edge column
+    cfg = fast_two_slit_config(positions={"wall": -0.02, "detector": 0.5})
+    path = write_config(tmp_path, "outside.json", cfg.as_dict())
+    out = tmp_path / "out"
+    assert main(["diffract", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "inside the box" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, harmonic_config_path, command):
+    not_a_dir = tmp_path / "afile"
+    not_a_dir.write_text("", encoding="utf-8")
+    config = ["--config", harmonic_config_path] if command == "evolve" else []
+    assert main([command, *config, "--out", str(not_a_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not_a_dir.read_text(encoding="utf-8") == ""
+
+
 def test_usage_error_without_subcommand():
     assert main([]) == 2
 
