@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -83,6 +84,20 @@ def _load_json_config(path: str) -> dict:
         return json.load(fh)
 
 
+def _out_dir(out: str) -> Path:
+    """--out as a Path, refused up front unless it can be written; creates nothing.
+
+    The nearest existing path among --out and its ancestors must be a
+    writable directory: an existing --out must be a directory, and a missing
+    one is made later under a writable ancestor.
+    """
+    path = Path(out)
+    nearest = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ValueError(f"--out {out} cannot be written: {nearest} is not a writable directory")
+    return path
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, started: float,
                     outputs: list[str], **telemetry) -> None:
     manifest = {
@@ -123,6 +138,7 @@ def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
 
 
 def cmd_verify(args) -> int:
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     config = VerifyConfig.from_dict(_load_json_config(args.config) if args.config else {})
     overrides = {"seed": args.seed, "tolerance_scale": args.tolerance_scale}
@@ -138,7 +154,6 @@ def cmd_verify(args) -> int:
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports_path = out_dir / "verify_reports.json"
     write_json(reports_path, [r.as_dict() for r in reports])
@@ -155,6 +170,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 
 def cmd_evolve(args) -> int:
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     config = _scenario_from_args(args)
     traj, telemetry = _timed_run(run, config)
@@ -166,7 +182,6 @@ def cmd_evolve(args) -> int:
             float(traj.p_mean[i, 0]), float(traj.u_mean[i]), float(traj.f_mean[i, 0]),
             float(traj.energy[i]), v_resid[i], f_resid[i],
         ])
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_trajectory.csv"
     write_csv(
@@ -182,6 +197,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     config = _scenario_from_args(args)
     g = config.grid
@@ -203,7 +219,6 @@ def cmd_spectrum(args) -> int:
                   for _ in range(math.comb(n + grid.dim - 1, grid.dim - 1)))
         for row, q in zip(rows, quanta):
             row[2:] = [quantum * q, abs(row[1] - quantum * q)]
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_spectrum.csv"
     write_csv(csv_path, ["level", "energy", "analytic_energy", "abs_error"], rows)
@@ -214,10 +229,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_diffract(args) -> int:
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     config = _scenario_from_args(args)
     result, telemetry = _timed_run(run_diffraction, config)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}_intensity.csv"
     write_csv(

@@ -6,12 +6,17 @@ exact kinetic drift in k-space, half-kick), so the norm is conserved to
 roundoff and the global error is O(dt^2).  Between kicks it holds the state
 in a mixed representation, Fourier transformed along every axis but axis 0:
 a drift is one FFT pair along axis 0, and a kick transforms back only the
-slab of axis-0 rows where the potential is nonzero.  Its records are reduced
-a block of states at a time.  The evolution operator is a plain unitary
-matrix, a time-ordered product of slices exp(-i H dt / hbar), each through a
-Hermitian eigendecomposition, which keeps it unitary to roundoff.  Spectra
-of grid operators are matrix-free up to N/32 levels: ARPACK applies the
-operator through its own `_apply_amps`, and a Rayleigh-Ritz step plus a
+slab of axis-0 rows where the potential is nonzero.  A 2-D run whose
+potential and initial state are exactly unchanged by the index map
+j -> -j mod n along axis 1 (n even) is held in that even sector: only the
+columns 0..n/2, transformed along axis 1 by a DCT-I.  Callers still see
+full-grid position-space states: records, the final amplitudes, and the rows
+that the `on_drift` hook reads through its `row(i)` callable.  Its records
+are reduced a block of states at a time.  The evolution operator is a plain
+unitary matrix, a time-ordered product of slices exp(-i H dt / hbar), each
+through a Hermitian eigendecomposition, which keeps it unitary to roundoff.
+Spectra of grid operators are matrix-free up to N/32 levels: ARPACK applies
+the operator through its own `_apply_amps`, and a Rayleigh-Ritz step plus a
 deflated ARPACK run make the states orthonormal and check that no copy of a
 degenerate level was missed.
 """
@@ -19,6 +24,7 @@ degenerate level was missed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -92,9 +98,9 @@ class Trajectory:
 
 
 def _fft_workers(dim: int) -> int:
-    # Full-grid 2-D transforms benefit from both cores; 1-D ones are too small
-    # to bother.  The kick's slab transforms always run on one (see
-    # `_strang_propagate`).
+    # The drift's axis-0 transforms of a 2-D grid benefit from both cores;
+    # 1-D ones are too small to bother.  The kick's slab transforms always run
+    # on one (see `_strang_propagate`).
     return 2 if dim == 2 else 1
 
 
@@ -111,64 +117,95 @@ def _weighted_sums(states, weights):
                             for w in weights])
 
 
+def _mirror_even(a: np.ndarray) -> bool:
+    """a is 2-D, axis 1 has even length, and a is unchanged by j -> -j mod n along it."""
+    return a.ndim == 2 and a.shape[1] % 2 == 0 and np.array_equal(a[:, 1:], a[:, :0:-1])
+
+
 def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
                       record_every=None, on_record=None, on_drift=None) -> np.ndarray:
     """Strang steps on a copy of psi0.amps, done in place; returns the final amplitudes.
 
-    Between kicks the state is held in the mixed representation: Fourier
-    transformed along every axis but axis 0 (in 1-D, plain position space).
-    A drift is then one FFT pair along axis 0.  A kick is the identity on
-    every axis-0 row where u_samples is zero, so it transforms back only the
-    slab of rows from the first to the last nonzero one, multiplies it and
-    transforms it forward again.  A free potential has an empty slab; one
-    that is nonzero on both sides of the periodic edge kicks every row.
+    Between kicks the state is held in the mixed representation: transformed
+    along every axis but axis 0 (in 1-D, plain position space).  A drift is
+    then one FFT pair along axis 0.  A kick is the identity on every axis-0
+    row where u_samples is zero, so it transforms back only the slab of rows
+    from the first to the last nonzero one, multiplies it and transforms it
+    forward again.  A free potential has an empty slab; one that is nonzero
+    on both sides of the periodic edge kicks every row.
+
+    The even sector: when u_samples and psi0.amps are both 2-D, axis 1 has an
+    even length n, and both are unchanged by the index map j -> -j mod n
+    along axis 1 (compared exactly), linear evolution keeps the state so.
+    Then only the columns j = 0..n/2 are held, and the transform along axis 1
+    is the DCT-I of those columns, which equals the first n/2 + 1 entries of
+    the FFT of the whole even row.  Any other input, 1-D runs and odd n
+    included, is held whole and transformed by FFTs.
 
     Adjacent half-kicks are merged into one full kick, and split only at the
     last step and at each record point (step % record_every == 0), where the
-    whole state returns to position space and on_record(step, amps) sees it.
-    on_drift(amps) runs after every drift, before the kick, and sees the
-    mixed array: a row amps[i] is the transform of position row i, so
-    ifft(amps[i]) recovers it.
+    whole state returns to position space and on_record(step, amps) sees it
+    on the full grid.  on_drift(row) runs after every drift, before the kick;
+    row(i) returns position-space axis-0 row i on the full grid as a new
+    array.  The returned amplitudes are on the full grid too.
     """
     grid = psi0.grid
     workers = _fft_workers(grid.dim)
     trailing = tuple(range(1, grid.dim))
+    amps = psi0.amps.astype(complex)
+    k_squared = grid.k_squared
+    if _mirror_even(u_samples) and _mirror_even(psi0.amps):
+        width = grid.n[1] // 2 + 1
+        amps = np.ascontiguousarray(amps[:, :width])
+        u_samples, k_squared = u_samples[:, :width], k_squared[:, :width]
+        forward, inverse = (partial(t, type=1, axis=1) for t in (sfft.dct, sfft.idct))
+
+        def expand(a):
+            return np.concatenate([a, a[..., -2:0:-1]], axis=-1)
+    else:
+        forward, inverse = (partial(t, axes=trailing) for t in (sfft.fftn, sfft.ifftn))
+
+        def expand(a):
+            return a
+
     rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
     slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
     half_kick = np.exp(-1j * u_samples[slab] * dt / (2.0 * hbar))
     full_kick = half_kick * half_kick
-    drift = np.exp(-1j * hbar * grid.k_squared * dt / (2.0 * mass))
+    drift = np.exp(-1j * hbar * k_squared * dt / (2.0 * mass))
 
-    def across(transform, a, workers=workers):
+    def across(transform, a, workers=workers, overwrite_x=True):
         # over the trailing axes, in place where scipy can; 1-D has none
-        return transform(a, axes=trailing, workers=workers, overwrite_x=True) if trailing else a
+        return transform(a, workers=workers, overwrite_x=overwrite_x) if trailing else a
 
-    amps = psi0.amps.astype(complex)
+    def row(i):
+        return expand(across(inverse, amps[i:i + 1], workers=1, overwrite_x=False))[0]
+
     amps[slab] *= half_kick
-    amps = across(sfft.fftn, amps)
+    amps = across(forward, amps)
     for step in range(1, steps + 1):
         amps = sfft.fft(amps, axis=0, workers=workers, overwrite_x=True)
         amps *= drift
         amps = sfft.ifft(amps, axis=0, workers=workers, overwrite_x=True)
         if on_drift is not None:
-            on_drift(amps)
+            on_drift(row)
         recorded = on_record is not None and step % record_every == 0
         if step < steps and not recorded:
             # the slab's rows are contiguous, so both transforms can run in place;
             # one worker, because the two-slit slab (42 x 512) took a median
             # 0.39 ms per kick on one worker against 1.04 ms on two (2-core host)
-            kicked = across(sfft.ifftn, amps[slab], workers=1)
+            kicked = across(inverse, amps[slab], workers=1)
             kicked *= full_kick
-            amps[slab] = across(sfft.fftn, kicked, workers=1)
+            amps[slab] = across(forward, kicked, workers=1)
             continue
-        amps = across(sfft.ifftn, amps)
+        amps = across(inverse, amps)
         amps[slab] *= half_kick
         if recorded:
-            on_record(step, amps)
+            on_record(step, expand(amps))
         if step < steps:
             amps[slab] *= half_kick
-            amps = across(sfft.fftn, amps)
-    return amps
+            amps = across(forward, amps)
+    return expand(amps)
 
 
 def split_step(

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grids import Grid, Wavefunction, gaussian_packet, make_grid
 from .evolution import Trajectory, _strang_propagate, split_step
@@ -259,6 +258,29 @@ def _refine_peak(y: np.ndarray, intensity: np.ndarray, idx: int) -> float:
     return float(y[idx] + shift * (y[1] - y[0]))
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> list[int]:
+    """Indices of the local maxima of x whose prominence is at least min_prominence.
+
+    The same peaks as `scipy.signal.find_peaks(x, prominence=min_prominence)`:
+    a flat top counts once, at its middle index (rounded down), and a top
+    that reaches either end of x is no peak.  A peak's prominence is its
+    height above the higher of its two bases, where a base is the lowest
+    sample on that side before x rises above the peak or ends.
+    """
+    # runs of equal samples, and the runs higher than both neighbouring runs
+    edges = np.flatnonzero(np.diff(x))
+    starts, ends = np.r_[0, edges + 1], np.r_[edges, len(x) - 1]
+    level = x[starts]
+    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = []
+    for p in (starts[inner] + ends[inner]) // 2:
+        bases = [side[:np.argmax(np.append(side, np.inf) > x[p])].min()
+                 for side in (x[p::-1], x[p:])]
+        if x[p] - max(bases) >= min_prominence:
+            peaks.append(int(p))
+    return peaks
+
+
 def extract_fringe_spacing(
     positions: np.ndarray, intensity: np.ndarray, prominence_fraction: float = 0.08
 ) -> tuple[float | None, list[float]]:
@@ -267,12 +289,11 @@ def extract_fringe_spacing(
     The median is robust against weak edge lobes; peak positions are refined
     to sub-cell accuracy with a parabolic fit.
     """
-    from scipy.signal import find_peaks  # here: slow to import, and only this needs it
     smoothed = np.convolve(intensity, np.full(3, 1.0 / 3.0), mode="same")
     top = float(np.max(smoothed))
     if top <= 0.0:
         return None, []
-    idx, _ = find_peaks(smoothed, prominence=prominence_fraction * top)
+    idx = _prominent_peaks(smoothed, prominence_fraction * top)
     peaks = [_refine_peak(positions, smoothed, i) for i in idx]
     if len(peaks) < 2:
         return None, peaks
@@ -314,9 +335,8 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
 
     intensity = np.zeros(grid.n[1])
 
-    def accumulate(amps):
-        # amps is the kernel's mixed array: its rows are transformed along y
-        intensity[:] += np.abs(sfft.ifft(amps[det_col])) ** 2 * config.dt
+    def accumulate(row):
+        intensity[:] += np.abs(row(det_col)) ** 2 * config.dt
 
     amps = _strang_propagate(psi0, u, config.mass, config.hbar, config.dt, config.steps,
                              on_drift=accumulate)

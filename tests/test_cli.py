@@ -514,14 +514,43 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, harmonic_config_path
     assert not_a_dir.read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["verify", "evolve", "spectrum", "diffract"])
+def test_out_that_cannot_be_written_stops_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          harmonic_config_path, command, out):
+    calls = []
+    for name in ("run_all", "run", "compute_spectrum", "run_diffraction"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    config = [] if command == "verify" else ["--config", harmonic_config_path]
+    assert main([command, *config, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not a writable directory" in err
+    assert calls == []
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
+
 def test_usage_error_without_subcommand():
     assert main([]) == 2
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is slow to import and only fringe analysis needs it
+    # scipy.signal is slow to import and large in memory; nothing needs it
     env = dict(os.environ, PYTHONPATH=str(Path(spectralqm.__file__).parents[1]))
     code = "import sys, spectralqm.cli; print('scipy.signal' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_run_diffraction_leaves_scipy_signal_unloaded(tmp_path):
+    from test_scenarios import fast_two_slit_config
+
+    path = write_config(tmp_path, "slit.json", fast_two_slit_config().as_dict())
+    env = dict(os.environ, PYTHONPATH=str(Path(spectralqm.__file__).parents[1]))
+    code = ("import json, sys; from spectralqm.scenarios import ScenarioConfig, run_diffraction; "
+            f"result = run_diffraction(ScenarioConfig.from_dict(json.load(open({str(path)!r})))); "
+            "print(result.fringe_spacing is not None, 'scipy.signal' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "True False"

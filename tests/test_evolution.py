@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.linalg as sla
 
 from spectralqm import (
@@ -25,7 +26,7 @@ from spectralqm import (
 )
 from spectralqm import evolution
 from spectralqm.evolution import RECORD_BLOCK_BYTES
-from spectralqm.grids import norm_squared
+from spectralqm.grids import Grid, norm_squared
 
 
 @pytest.fixture(scope="module")
@@ -156,14 +157,18 @@ def plain_records(grid, amps, u, force, mass, hbar):
             kinetic + u_mean]
 
 
-def assert_records_match(traj, states, u, force, mass, hbar):
-    """traj's records equal plain_records of the given states to 1e-12 of each column's size."""
+def assert_records_match(traj, states, u, force, mass, hbar, atol=0.0):
+    """traj's records equal plain_records of the given states to 1e-12 of each column's size.
+
+    atol is added to that bound, for columns that vanish by symmetry and so
+    hold roundoff alone.
+    """
     grid = traj.grid
     got = np.column_stack([traj.norm, traj.x_mean, traj.p_mean, traj.u_mean, traj.f_mean,
                            traj.energy])
     want = np.array([plain_records(grid, amps, u, force, mass, hbar) for amps in states])
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0) + atol)
 
 
 def assert_same_records(a, b):
@@ -246,6 +251,54 @@ def test_split_step_2d_slab_kick_matches_plain_strang_loop(rows, roll):
     assert_records_match(traj, reference[::record_every], u, force, 1.0, 1.0)
     final = evolution._strang_propagate(psi0, u, 1.0, 1.0, 2e-2, steps)
     assert np.max(np.abs(final - reference[-1])) <= 1e-12
+
+
+def _mirrored(a):
+    """a under the index map j -> -j mod n along axis 1."""
+    return a[:, -np.arange(a.shape[1]) % a.shape[1]]
+
+
+@pytest.mark.parametrize("n_y, perturbed, even_sector", [
+    (32, False, True),  # y-even potential and packet: held as columns 0..16
+    (32, True, False),  # one cell of psi0 breaks the symmetry: the full path
+    (33, False, False),  # exactly y-even, but an odd axis: the full path
+], ids=["even", "one-cell-off", "odd-n"])
+def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, perturbed,
+                                                              even_sector):
+    # make_grid takes only powers of two; a Grid built directly may have an odd axis
+    grid = Grid(2, (64, n_y), (12.0, 10.0), (-6.0, -5.0))
+    x, y = grid.meshes
+    u = np.zeros(grid.shape)
+    u[28:35] = (3.0 + np.cos(x) * np.cos(0.5 * y))[28:35]
+    u = 0.5 * (u + _mirrored(u))  # a + b == b + a, so both are exactly mirror-even
+    packet = gaussian_packet(grid, [-0.3, 0.0], [2.0, 0.0], [0.9, 0.8])
+    amps = 0.5 * (packet.amps + _mirrored(packet.amps))
+    assert np.array_equal(u, _mirrored(u)) and np.array_equal(amps, _mirrored(amps))
+    if perturbed:
+        amps[30, 5] *= 1.001
+    psi0 = packet.with_amps(amps)
+    force = [-evolution.spectral_gradient(grid, u, a) for a in range(2)]
+    dct_calls = []
+    dct = sfft.dct
+    monkeypatch.setattr(sfft, "dct", lambda *args, **kw: dct_calls.append(1) or dct(*args, **kw))
+
+    steps, record_every, det_row = 12, 3, 40
+    reference = list(plain_strang(psi0, u, 1.0, 1.0, 2e-2, steps))
+    traj = split_step(psi0, u, 1.0, 1.0, 2e-2, steps, record_every, force_samples=force)
+    assert len(traj.states) == steps // record_every + 1
+    for state, want in zip(traj.states, reference[::record_every]):
+        assert state.amps.shape == grid.shape
+        assert np.max(np.abs(state.amps - want)) <= 1e-12
+    # <y>, <p_y> and <F_y> vanish on a y-even state, so they are held to 1e-12 absolute
+    assert_records_match(traj, reference[::record_every], u, force, 1.0, 1.0, atol=1e-12)
+    detector = []
+    final = evolution._strang_propagate(psi0, u, 1.0, 1.0, 2e-2, steps,
+                                        on_drift=lambda row: detector.append(row(det_row)))
+    assert np.max(np.abs(final - reference[-1])) <= 1e-12
+    # the row is read after the drift, before the kick, which only changes its phase
+    for got, want in zip(detector, reference[1:]):
+        assert np.max(np.abs(np.abs(got) - np.abs(want[det_row]))) <= 1e-12
+    assert bool(dct_calls) == even_sector
 
 
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 
 from spectralqm import (
     ScenarioConfig,
@@ -15,7 +14,7 @@ from spectralqm import (
     single_slit_config,
 )
 from spectralqm.evolution import _strang_propagate
-from spectralqm.scenarios import extract_fringe_spacing
+from spectralqm.scenarios import _prominent_peaks, extract_fringe_spacing
 from test_evolution import plain_strang
 
 
@@ -189,6 +188,25 @@ def test_extract_fringe_spacing_flat_input():
     assert spacing is None
 
 
+def test_prominent_peaks_match_scipy_find_peaks(fast_two_slit_result):
+    from scipy.signal import find_peaks
+
+    res = fast_two_slit_result
+    window = np.abs(res.positions) <= 0.3 * 0.1  # the paraxial window: |y| <= 0.3 D
+    smooth, smooth_window = (np.convolve(i, np.full(3, 1.0 / 3.0), mode="same")
+                             for i in (res.intensity, res.intensity[window]))
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal((40, 71))
+    rows = [smooth, smooth_window, *(np.convolve(r, np.ones(7) / 7, mode="valid") for r in noise),
+            *np.round(noise, 0)]  # rounding makes flat tops, some at the ends
+    for row in rows:
+        for fraction in (0.0, 0.08, 0.3):
+            threshold = fraction * np.max(np.abs(row))
+            want = find_peaks(row, prominence=threshold)[0]
+            assert _prominent_peaks(row, threshold) == list(want)
+    assert len(_prominent_peaks(smooth_window, 0.08 * np.max(smooth_window))) >= 3
+
+
 # ---------------------------------------------------------------------------
 # diffraction runs (fast 256^2 twin of the reference geometry)
 # ---------------------------------------------------------------------------
@@ -217,6 +235,13 @@ def test_two_slit_pattern_symmetric(fast_two_slit_result):
     assert np.max(np.abs(i - mirrored)) / np.max(i) < 0.02
 
 
+def test_two_slit_pattern_is_bitwise_mirror_symmetric(fast_two_slit_result):
+    # the run is mirror-even in y, so the kernel holds half the columns and
+    # every detector row it hands out is an exact mirror image
+    i = fast_two_slit_result.intensity
+    assert np.array_equal(i[1:], i[:0:-1])
+
+
 def test_run_diffraction_is_byte_identical(fast_two_slit_result):
     again = run_diffraction(fast_two_slit_config())
     assert again.intensity.tobytes() == fast_two_slit_result.intensity.tobytes()
@@ -231,8 +256,8 @@ def test_kernel_detector_intensity_matches_plain_strang_loop():
     det_col = int(np.argmin(np.abs(grid.axis_points(0) - 0.08)))
     intensity = np.zeros(grid.n[1])
 
-    def accumulate(amps):
-        intensity[:] += np.abs(sfft.ifft(amps[det_col])) ** 2 * cfg.dt
+    def accumulate(row):
+        intensity[:] += np.abs(row(det_col)) ** 2 * cfg.dt
 
     final = _strang_propagate(psi0, u, cfg.mass, cfg.hbar, cfg.dt, cfg.steps,
                               on_drift=accumulate)
