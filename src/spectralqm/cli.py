@@ -1,5 +1,10 @@
 """Command-line front end: verify, evolve, spectrum, diffract.
 
+Every command runs through `_run_command`: check `--out`, load the config,
+compute, make the directory, write the outputs and the manifest, with the
+load, compute and write phases timed on one clock.  The `_COMMANDS` table
+holds each command's own loader, compute and write steps and flags.
+
 Outputs are CSV and JSON with floats printed at 17 significant digits, so a
 fixed config and seed reproduce byte-identical data files.  Exit codes:
 0 success / all checks pass, 1 check failure, 2 usage or config error.
@@ -16,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -98,31 +104,6 @@ def _out_dir(out: str) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, started: float,
-                    outputs: list[str], **telemetry) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "seed": seed,
-        "duration_seconds": time.perf_counter() - started,
-        "outputs": outputs,
-        **telemetry,
-    }
-    write_json(out_dir / f"{command}_manifest.json", manifest)
-
-
-def _timed_run(runner, config: ScenarioConfig):
-    """runner(config), plus the manifest's steps per second and FFT worker count."""
-    started = time.perf_counter()
-    result = runner(config)
-    telemetry = {
-        "steps_per_second": config.steps / (time.perf_counter() - started),
-        "fft_workers": _fft_workers(config.grid["dim"]),
-    }
-    return result, telemetry
-
-
 def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
     """3-point centered-difference residuals; None at the two endpoint rows."""
     n = len(traj.times)
@@ -137,110 +118,76 @@ def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
     return v_resid, f_resid
 
 
-def cmd_verify(args) -> int:
-    out_dir = _out_dir(args.out)
-    started = time.perf_counter()
+def _load_verify(args) -> VerifyConfig:
     config = VerifyConfig.from_dict(_load_json_config(args.config) if args.config else {})
     overrides = {"seed": args.seed, "tolerance_scale": args.tolerance_scale}
-    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
-    reports = run_all(config)
+
+def _load_scenario(args) -> ScenarioConfig:
+    config = ScenarioConfig.from_dict(_load_json_config(args.config))
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
+def _write_verify(out_dir: Path, config: VerifyConfig, reports):
     name_w = max(len(r.name) for r in reports)
     tag_w = max(len(r.tag) for r in reports)
     print(f"{'check':<{name_w}}  {'tag':<{tag_w}}  {'residual':>12}  {'tolerance':>12}  result")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<{name_w}}  {r.tag:<{tag_w}}  {r.residual:>12.3e}  {r.tolerance:>12.3e}  {status}")
-    failed = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports_path = out_dir / "verify_reports.json"
-    write_json(reports_path, [r.as_dict() for r in reports])
-    _write_manifest(out_dir, "verify", config.as_dict(), config.seed, started,
-                    [str(reports_path)])
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
+    failed = sum(not r.passed for r in reports)
+    print(f"{len(reports) - failed}/{len(reports)} checks passed")
+    path = out_dir / "verify_reports.json"
+    write_json(path, [r.as_dict() for r in reports])
+    return [path], EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
-    config = ScenarioConfig.from_dict(_load_json_config(args.config))
-    if args.seed is not None:
-        config = ScenarioConfig.from_dict(dict(config.as_dict(), seed=args.seed))
-    return config
-
-
-def cmd_evolve(args) -> int:
-    out_dir = _out_dir(args.out)
-    started = time.perf_counter()
-    config = _scenario_from_args(args)
-    traj, telemetry = _timed_run(run, config)
+def _write_evolve(out_dir: Path, config: ScenarioConfig, traj: Trajectory):
     v_resid, f_resid = _ehrenfest_residual_columns(traj, config.mass)
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([
-            float(t), float(traj.norm[i]), float(traj.x_mean[i, 0]),
-            float(traj.p_mean[i, 0]), float(traj.u_mean[i]), float(traj.f_mean[i, 0]),
-            float(traj.energy[i]), v_resid[i], f_resid[i],
-        ])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.name}_trajectory.csv"
-    write_csv(
-        csv_path,
-        ["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
-         "ehrenfest_v_resid", "ehrenfest_f_resid"],
-        rows,
-    )
-    _write_manifest(out_dir, "evolve", config.as_dict(), config.seed, started,
-                    [str(csv_path)], **telemetry)
-    print(f"wrote {csv_path} ({len(rows)} records)")
-    return EXIT_OK
+    rows = [[float(t), float(traj.norm[i]), float(traj.x_mean[i, 0]),
+             float(traj.p_mean[i, 0]), float(traj.u_mean[i]), float(traj.f_mean[i, 0]),
+             float(traj.energy[i]), v_resid[i], f_resid[i]] for i, t in enumerate(traj.times)]
+    path = out_dir / f"{config.name}_trajectory.csv"
+    write_csv(path, ["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
+                     "ehrenfest_v_resid", "ehrenfest_f_resid"], rows)
+    print(f"wrote {path} ({len(rows)} records)")
+    return [path], EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    out_dir = _out_dir(args.out)
-    started = time.perf_counter()
-    config = _scenario_from_args(args)
+def _compute_spectrum(config: ScenarioConfig, args):
     g = config.grid
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
     if not 1 <= args.levels <= grid.size:
-        print(f"error: requested {args.levels} levels; the grid has "
-              f"{grid.size} points, so 1 to {grid.size} levels are possible",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"requested {args.levels} levels; the grid has {grid.size} points, "
+                         f"so 1 to {grid.size} levels are possible")
     u = potential_samples(grid, config.potential)
-    pairs = compute_spectrum(hamiltonian(grid, u, config.mass, config.hbar), args.levels)
+    return compute_spectrum(hamiltonian(grid, u, config.mass, config.hbar), args.levels)
 
+
+def _write_spectrum(out_dir: Path, config: ScenarioConfig, pairs):
     rows = [[level, float(energy), None, None] for level, (energy, _) in enumerate(pairs)]
     if config.potential["kind"] == "harmonic":
         # U = omega^2 |x|^2 / 2 has the levels hbar omega / sqrt(m) (n_1 + ... + n_dim + dim/2);
         # the level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate
+        dim = config.grid["dim"]
         quantum = config.hbar * float(config.potential.get("omega", 1.0)) / math.sqrt(config.mass)
-        quanta = (n + grid.dim / 2 for n in itertools.count()
-                  for _ in range(math.comb(n + grid.dim - 1, grid.dim - 1)))
+        quanta = (n + dim / 2 for n in itertools.count()
+                  for _ in range(math.comb(n + dim - 1, dim - 1)))
         for row, q in zip(rows, quanta):
             row[2:] = [quantum * q, abs(row[1] - quantum * q)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.name}_spectrum.csv"
-    write_csv(csv_path, ["level", "energy", "analytic_energy", "abs_error"], rows)
-    _write_manifest(out_dir, "spectrum", config.as_dict(), config.seed, started,
-                    [str(csv_path)])
-    print(f"wrote {csv_path} ({len(rows)} levels)")
-    return EXIT_OK
+    path = out_dir / f"{config.name}_spectrum.csv"
+    write_csv(path, ["level", "energy", "analytic_energy", "abs_error"], rows)
+    print(f"wrote {path} ({len(rows)} levels)")
+    return [path], EXIT_OK
 
 
-def cmd_diffract(args) -> int:
-    out_dir = _out_dir(args.out)
-    started = time.perf_counter()
-    config = _scenario_from_args(args)
-    result, telemetry = _timed_run(run_diffraction, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_diffract(out_dir: Path, config: ScenarioConfig, result):
     csv_path = out_dir / f"{config.name}_intensity.csv"
-    write_csv(
-        csv_path,
-        ["detector_position", "intensity"],
-        [[float(y), float(i)] for y, i in zip(result.positions, result.intensity)],
-    )
-    summary = {
+    write_csv(csv_path, ["detector_position", "intensity"],
+              [[float(y), float(i)] for y, i in zip(result.positions, result.intensity)])
+    summary_path = out_dir / f"{config.name}_summary.json"
+    write_json(summary_path, {
         "measured_fringe_spacing": result.fringe_spacing,
         "fraunhofer_prediction": result.fraunhofer_spacing,
         "relative_error": result.relative_error,
@@ -248,18 +195,65 @@ def cmd_diffract(args) -> int:
         "transmitted_fraction": result.transmitted_fraction,
         "fresnel_number": result.fresnel_number,
         "details": result.details,
-    }
-    summary_path = out_dir / f"{config.name}_summary.json"
-    write_json(summary_path, summary)
-    _write_manifest(out_dir, "diffract", config.as_dict(), config.seed, started,
-                    [str(csv_path), str(summary_path)], **telemetry)
+    })
     if result.fringe_spacing is not None:
         print(f"fringe spacing {result.fringe_spacing:.6g} vs prediction "
               f"{result.fraunhofer_spacing:.6g} (relative error {result.relative_error:.3f})")
     else:
         print(f"no two-slit fringe analysis: {result.details}")
     print(f"wrote {csv_path} and {summary_path}")
-    return EXIT_OK
+    return [csv_path, summary_path], EXIT_OK
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A subcommand's own parts; `_run_command` supplies the frame around them."""
+
+    help: str
+    load: Callable      # args -> config
+    compute: Callable   # (config, args) -> result
+    write: Callable     # (out_dir, config, result) -> (output paths, exit code); prints stdout
+    options: tuple = ()  # (flag, type, default) of each flag besides --config/--out/--seed
+    propagates: bool = False  # the manifest adds steps_per_second and fft_workers
+
+
+# The compute steps look run_all, run, compute_spectrum and run_diffraction up
+# when they are called, so a replaced module global is the one that runs.
+_COMMANDS = {
+    "verify": _Command("run the full check suite", _load_verify,
+                       lambda config, args: run_all(config), _write_verify,
+                       options=(("--tolerance-scale", float, None),)),
+    "evolve": _Command("run a scenario and write the trajectory CSV", _load_scenario,
+                       lambda config, args: run(config), _write_evolve, propagates=True),
+    "spectrum": _Command("lowest eigenvalues of the configured setup", _load_scenario,
+                         _compute_spectrum, _write_spectrum, options=(("--levels", int, 5),)),
+    "diffract": _Command("run a slit scenario and analyze fringes", _load_scenario,
+                         lambda config, args: run_diffraction(config), _write_diffract,
+                         propagates=True),
+}
+
+
+def _run_command(args) -> int:
+    """Check --out, then load, compute and write on one clock, then the manifest."""
+    command = _COMMANDS[args.command]
+    out_dir = _out_dir(args.out)
+    marks = [time.perf_counter()]
+    config = command.load(args)
+    marks.append(time.perf_counter())
+    result = command.compute(config, args)
+    marks.append(time.perf_counter())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, code = command.write(out_dir, config, result)
+    marks.append(time.perf_counter())
+    phases = {phase: b - a for phase, a, b in zip(("load", "compute", "write"), marks, marks[1:])}
+    manifest = {"command": args.command, "config": config.as_dict(), "version": __version__,
+                "seed": config.seed, "duration_seconds": time.perf_counter() - marks[0],
+                "phase_seconds": phases, "outputs": [str(path) for path in outputs]}
+    if command.propagates:
+        manifest.update(steps_per_second=config.steps / phases["compute"],
+                        fft_workers=_fft_workers(config.grid["dim"]))
+    write_json(out_dir / f"{args.command}_manifest.json", manifest)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,33 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the full check suite")
-    p_verify.add_argument("--config", help="JSON verify config", default=None)
-    p_verify.add_argument("--out", default="out", help="output directory")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tolerance-scale", type=float, default=None,
-                          dest="tolerance_scale")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_evolve = sub.add_parser("evolve", help="run a scenario and write the trajectory CSV")
-    p_evolve.add_argument("--config", required=True)
-    p_evolve.add_argument("--out", default="out")
-    p_evolve.add_argument("--seed", type=int, default=None)
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_spectrum = sub.add_parser("spectrum", help="lowest eigenvalues of the configured setup")
-    p_spectrum.add_argument("--config", required=True)
-    p_spectrum.add_argument("--out", default="out")
-    p_spectrum.add_argument("--levels", type=int, default=5)
-    p_spectrum.add_argument("--seed", type=int, default=None)
-    p_spectrum.set_defaults(func=cmd_spectrum)
-
-    p_diffract = sub.add_parser("diffract", help="run a slit scenario and analyze fringes")
-    p_diffract.add_argument("--config", required=True)
-    p_diffract.add_argument("--out", default="out")
-    p_diffract.add_argument("--seed", type=int, default=None)
-    p_diffract.set_defaults(func=cmd_diffract)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        # verify runs at its pinned defaults without a config file
+        p.add_argument("--config", required=name != "verify", help="JSON config")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--seed", type=int, default=None)
+        for flag, kind, default in command.options:
+            p.add_argument(flag, type=kind, default=default)
     return parser
 
 
@@ -308,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already; keep --version/-h at 0
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run_command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -147,7 +147,8 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
     whole state returns to position space and on_record(step, amps) sees it
     on the full grid.  on_drift(row) runs after every drift, before the kick;
     row(i) returns position-space axis-0 row i on the full grid as a new
-    array.  The returned amplitudes are on the full grid too.
+    array.  The returned amplitudes are on the full grid too.  A kick or drift
+    phase that overflows (a tiny hbar or mass) raises ValueError before any step.
     """
     grid = psi0.grid
     workers = _fft_workers(grid.dim)
@@ -170,9 +171,16 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
 
     rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
     slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
-    half_kick = np.exp(-1j * u_samples[slab] * dt / (2.0 * hbar))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kick_phase = -1j * u_samples[slab] * dt / (2.0 * hbar)
+        drift_phase = -1j * hbar * k_squared * dt / (2.0 * mass)
+    for phase, name in ((kick_phase, "kick phase U dt / (2 hbar)"),
+                        (drift_phase, "drift phase hbar |k|^2 dt / (2 mass)")):
+        if not np.isfinite(phase).all():
+            raise ValueError(f"the {name} overflows for hbar={hbar!r}, mass={mass!r}, dt={dt!r}")
+    half_kick = np.exp(kick_phase, out=kick_phase)
     full_kick = half_kick * half_kick
-    drift = np.exp(-1j * hbar * k_squared * dt / (2.0 * mass))
+    drift = np.exp(drift_phase, out=drift_phase)
 
     def across(transform, a, workers=workers, overwrite_x=True):
         # over the trailing axes, in place where scipy can; 1-D has none

@@ -210,7 +210,8 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 
 
     sigma is the position standard deviation per axis.  Warns if the 5-sigma
     support leaks outside the periodic box, since every identity downstream
-    assumes a negligible boundary amplitude.
+    assumes a negligible boundary amplitude.  Raises ValueError when an
+    amplitude is not finite (p0 x / hbar or the envelope overflows).
     """
     x0s = _per_axis(x0, grid.dim, "x0")
     p0s = _per_axis(p0, grid.dim, "p0")
@@ -227,11 +228,16 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 
             )
     phase = np.zeros(grid.shape)
     envelope = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        x = grid.meshes[a]
-        envelope = envelope - (x - x0s[a]) ** 2 / (4.0 * sigmas[a] ** 2)
-        phase = phase + p0s[a] * x / hbar
-    amps = np.exp(envelope + 1j * phase)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a in range(grid.dim):
+            x = grid.meshes[a]
+            envelope = envelope - (x - x0s[a]) ** 2 / (4.0 * sigmas[a] ** 2)
+            phase = phase + p0s[a] * x / hbar
+        amps = np.exp(envelope + 1j * phase)
+    if not np.isfinite(amps).all():
+        cause = "p0 x / hbar" if not np.isfinite(phase).all() else "(x - x0)^2 / (4 sigma^2)"
+        raise ValueError(f"gaussian packet amplitudes are not finite: {cause} overflows "
+                         f"(p0={p0!r}, hbar={hbar!r}, sigma={sigma!r})")
     return normalize(Wavefunction(grid, amps, hbar=hbar, mass=mass))
 
 

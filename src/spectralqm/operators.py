@@ -194,10 +194,15 @@ def force_op(grid: Grid, u_samples: np.ndarray, axis: int = 0,
 
 
 def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal:
-    """hbar^2 k^2 / (2 m), with k^2 from :attr:`Grid.k_squared`."""
+    """hbar^2 k^2 / (2 m), with k^2 from :attr:`Grid.k_squared`; refused unless finite."""
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    return SpectralReal(grid, hbar**2 * grid.k_squared / (2.0 * mass), label="T")
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = hbar**2 * grid.k_squared / (2.0 * mass)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"kinetic samples hbar^2 |k|^2 / (2 mass) overflow for hbar={hbar!r}, "
+                         f"mass={mass!r}")
+    return SpectralReal(grid, samples, label="T")
 
 
 def hamiltonian(grid: Grid, u_samples: np.ndarray, mass: float = 1.0, hbar: float = 1.0) -> OperatorSum:

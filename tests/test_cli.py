@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,60 @@ def test_out_that_cannot_be_written_stops_before_any_work(tmp_path, capsys, monk
     assert err.startswith("error: ") and err.count("\n") == 1 and "not a writable directory" in err
     assert calls == []
     assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "spectrum", "diffract"])
+def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_config_path,
+                                  command):
+    config_path = {"verify": None, "evolve": harmonic_config_path,
+                   "spectrum": harmonic_config_path, "diffract": fast_slit_config_path}[command]
+    out = tmp_path / "out"
+    config = [] if config_path is None else ["--config", config_path]
+    assert main([command, *config, "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == 3
+    # the resolved config round-trips through the manifest, --seed included
+    if config_path is None:
+        expected = {"seed": 3, "tolerance_scale": 1.0}
+    else:
+        loaded = json.loads(Path(config_path).read_text())
+        expected = spectralqm.ScenarioConfig.from_dict(dict(loaded, seed=3)).as_dict()
+    assert manifest["config"] == expected
+    assert manifest["outputs"]
+    for produced in manifest["outputs"]:
+        assert Path(produced).exists()
+    phases = manifest["phase_seconds"]
+    assert set(phases) == {"load", "compute", "write"}
+    assert all(seconds >= 0 for seconds in phases.values())
+    assert sum(phases.values()) <= manifest["duration_seconds"]
+    if command in ("evolve", "diffract"):
+        assert manifest["steps_per_second"] > 0
+        assert manifest["fft_workers"] == (1 if command == "evolve" else 2)
+    else:
+        assert "steps_per_second" not in manifest and "fft_workers" not in manifest
+
+
+@pytest.mark.parametrize("command, unit", [
+    ("evolve", "hbar"), ("evolve", "mass"), ("spectrum", "mass"),
+    ("diffract", "hbar"), ("diffract", "mass"),
+])
+def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
+                                         fast_slit_config_path, command, unit):
+    # 1e-320 overflows U dt / hbar, |k|^2 / mass or p0 x / hbar to inf, whose exp is NaN.
+    # spectrum with hbar 1e-320 is absent: hbar^2 |k|^2 underflows to an exact 0,
+    # the correctly rounded value, so nothing non-finite arises
+    path = fast_slit_config_path if command == "diffract" else harmonic_config_path
+    data = dict(json.loads(Path(path).read_text()), **{unit: 1e-320})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, "tiny.json", data),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+    assert not out.exists()
 
 
 def test_usage_error_without_subcommand():

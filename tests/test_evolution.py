@@ -1,6 +1,7 @@
 """Split-step propagation, evolution operators and their constant-H slices, spectra."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ def test_split_step_rejects_bad_arguments(harmonic_setup):
     for dt in (np.nan, np.inf):
         with pytest.raises(ValueError, match="dt"):
             split_step(psi0, u, 1.0, 1.0, dt, 10)
+
+
+@pytest.mark.parametrize("mass, hbar, phase", [(1.0, 1e-320, "kick"), (1e-320, 1.0, "drift")],
+                         ids=["hbar", "mass"])
+def test_split_step_refuses_an_overflowing_phase(harmonic_setup, mass, hbar, phase):
+    # exp of an infinite phase is NaN, which every later step and record would carry
+    grid, u, force = harmonic_setup
+    psi0 = gaussian_packet(grid, 1.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"the {phase} phase .* overflows"):
+            split_step(psi0, u, mass, hbar, 1e-3, 10, force_samples=[force])
 
 
 def test_split_step_convergence_order(harmonic_setup):
