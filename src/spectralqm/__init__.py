@@ -30,7 +30,6 @@ from .operators import (
     ScaledIdentity,
     SpectralReal,
     apply,
-    commutator,
     expectation,
     force_op,
     hamiltonian,

@@ -170,46 +170,42 @@ def _record_interval(trajectory: Trajectory) -> float:
     return float(dt[0])
 
 
-def check_ehrenfest_velocity(
-    trajectory: Trajectory, tolerance: float = 1e-4, stencil: int = 4
-) -> CheckReport:
+def check_ehrenfest_velocity(trajectory: Trajectory, tolerance: float = 1e-4) -> CheckReport:
     """d<x>/dt vs <p>/m on the recorded trajectory.
 
     Residual = max over interior records and axes of the centered-difference
-    mismatch.  The expected size is C1*h^s + C2*dt^2 with s the stencil
-    order; the 4th-order stencil keeps the differencing term negligible so
-    the integrator itself is what gets tested.
+    mismatch.  The expected size is C1*h^4 + C2*dt^2: the 4th-order stencil
+    keeps the differencing term negligible so the integrator itself is what
+    gets tested.
     """
     h = _record_interval(trajectory)
     mass = trajectory.states[0].mass
     residual = 0.0
     for axis in range(trajectory.x_mean.shape[1]):
-        d, interior = _central_difference(trajectory.x_mean[:, axis], h, stencil)
+        d, interior = _central_difference(trajectory.x_mean[:, axis], h, 4)
         residual = max(residual, float(np.max(np.abs(d - trajectory.p_mean[interior, axis] / mass))))
     return _report(
         "ehrenfest-velocity",
         "velocity-law",
         residual,
         tolerance,
-        details=f"h={h:.3e} stencil={stencil} records={len(trajectory.times)}",
+        details=f"h={h:.3e} stencil=4 records={len(trajectory.times)}",
     )
 
 
-def check_ehrenfest_force(
-    trajectory: Trajectory, tolerance: float = 1e-4, stencil: int = 4
-) -> CheckReport:
+def check_ehrenfest_force(trajectory: Trajectory, tolerance: float = 1e-4) -> CheckReport:
     """d<p>/dt vs <F> = <-dU/dx> on the recorded trajectory."""
     h = _record_interval(trajectory)
     residual = 0.0
     for axis in range(trajectory.p_mean.shape[1]):
-        d, interior = _central_difference(trajectory.p_mean[:, axis], h, stencil)
+        d, interior = _central_difference(trajectory.p_mean[:, axis], h, 4)
         residual = max(residual, float(np.max(np.abs(d - trajectory.f_mean[interior, axis]))))
     return _report(
         "ehrenfest-force",
         "force-law",
         residual,
         tolerance,
-        details=f"h={h:.3e} stencil={stencil} records={len(trajectory.times)}",
+        details=f"h={h:.3e} stencil=4 records={len(trajectory.times)}",
     )
 
 
@@ -262,36 +258,26 @@ def check_commutator_system(
     )
 
 
-def check_commutant_uniqueness(
-    n: int,
-    hbar: float = 1.0,
-    tolerance: float = 1e-8,
-    x_only: bool = False,
-) -> CheckReport:
+def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
     """Null space of M |-> ([M,X], [M,P]) over all complex n x n matrices.
 
     The joint commutant of the position and derivative operators should be
     exactly the scalars: nullity 1 with the null vector aligned to the
-    identity.  Residual = (nullity - 1) + (1 - |overlap with I|).
-
-    x_only=True drops the P equations; the commutant is then all diagonal
-    matrices (nullity n), a negative control showing P is load-bearing.
+    identity.  Residual = (nullity - 1) + (1 - |overlap with I|).  The
+    commutant does not depend on hbar, so P is taken at hbar = 1.
     """
     if not 4 <= n <= 16:
         raise ValueError(f"commutant check supports 4 <= n <= 16, got {n}")
     grid = make_grid(1, n, float(n), 0.0)
     x_dense = to_dense(position_op(grid)).matrix
-    p_dense = to_dense(momentum_op(grid, 0, hbar)).matrix
+    p_dense = to_dense(momentum_op(grid)).matrix
     eye = np.eye(n, dtype=complex)
 
     def commutation_block(a):
         # row-major vec: vec(MA - AM) = (I (x) A^T - A (x) I) vec(M)
         return np.kron(eye, a.T) - np.kron(a, eye)
 
-    blocks = [commutation_block(x_dense)]
-    if not x_only:
-        blocks.append(commutation_block(p_dense))
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([commutation_block(x_dense), commutation_block(p_dense)])
     _, svals, vh = sla.svd(stacked)
     cutoff = max(svals[0], 1.0) * 1e-10
     nullity = int(np.sum(svals <= cutoff))
@@ -305,9 +291,8 @@ def check_commutant_uniqueness(
     alignment = float(np.linalg.norm(null_basis.conj().T @ identity_vec))
     residual = (nullity - 1) + max(0.0, 1.0 - alignment)
     gap = float(svals[-(nullity + 1)]) if nullity < len(svals) else float("nan")
-    name = "commutant-x-only" if x_only else "commutant-uniqueness"
     return _report(
-        name,
+        "commutant-uniqueness",
         "commutant-scalars",
         residual,
         tolerance,
@@ -427,11 +412,9 @@ def check_field_energy_parseval(
     )
 
 
-def random_smooth_fields(grid: Grid, rng: np.random.Generator, max_mode: int | None = None) -> FieldConfiguration:
+def random_smooth_fields(grid: Grid, rng: np.random.Generator) -> FieldConfiguration:
     """Band-limited random fields: harmonics up to n/8 with Gaussian weights."""
-    n = grid.n[0]
-    if max_mode is None:
-        max_mode = max(1, n // 8)
+    max_mode = max(1, grid.n[0] // 8)
     modes = np.arange(1, max_mode + 1)
     phase = 2 * np.pi * modes[:, None] * grid.axis_points(0) / grid.length[0]
     # one (cos, sin) coefficient pair per component and mode, drawn in that order
@@ -447,7 +430,6 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, max_mode: int | N
 
 
 def check_superposition(
-    grid: Grid,
     u_samples: np.ndarray,
     psi1: Wavefunction,
     psi2: Wavefunction,
@@ -466,7 +448,7 @@ def check_superposition(
     evolved_sum = final(psi1.with_amps(scale * (psi1.amps + psi2.amps)))
     combined = scale * (final(psi1) + final(psi2))
     residual = float(
-        np.linalg.norm(evolved_sum - combined) * np.sqrt(grid.cell_volume)
+        np.linalg.norm(evolved_sum - combined) * np.sqrt(psi1.grid.cell_volume)
     )
     return _report(
         "superposition",
@@ -477,18 +459,20 @@ def check_superposition(
     )
 
 
+# the constant that check_gauge_shift adds to the potential
+GAUGE_SHIFT = 3.7
+
+
 def check_gauge_shift(
-    grid: Grid,
     u_samples: np.ndarray,
     psi0: Wavefunction,
     dt: float,
     steps: int,
     record_every: int,
-    shift: float = 3.7,
     force_samples=None,
     tolerance: float = 1e-10,
 ) -> CheckReport:
-    """Adding a constant to the potential only changes the global phase.
+    """Adding the constant GAUGE_SHIFT to the potential only changes the global phase.
 
     Expectation trajectories and Ehrenfest residuals must be unchanged.
     """
@@ -501,7 +485,7 @@ def check_gauge_shift(
         )
 
     base = run(u_samples)
-    shifted = run(u_samples + shift)
+    shifted = run(u_samples + GAUGE_SHIFT)
     residual = max(
         float(np.max(np.abs(base.x_mean - shifted.x_mean))),
         float(np.max(np.abs(base.p_mean - shifted.p_mean))),
@@ -513,7 +497,7 @@ def check_gauge_shift(
         "constant-in-potential",
         residual,
         tolerance,
-        details=f"shift={shift}",
+        details=f"shift={GAUGE_SHIFT}",
     )
 
 
@@ -522,14 +506,14 @@ def check_gauge_shift(
 # ---------------------------------------------------------------------------
 
 
-def check_evolution_operator(
-    n: int = 32,
-    length: float = 12.0,
-    hbar: float = 1.0,
-    n_slices: int = 64,
-    drive_amplitude: float = 0.1,
-    tolerance_scale: float = 1.0,
-) -> list[CheckReport]:
+# the evolution-operator group's unit harmonic well (hbar = m = 1) on a box
+# of this length, its slices per unit time and its drive amplitude
+EVOLUTION_LENGTH = 12.0
+EVOLUTION_SLICES = 64
+EVOLUTION_DRIVE = 0.1
+
+
+def check_evolution_operator(n: int = 32, tolerance_scale: float = 1.0) -> list[CheckReport]:
     """Two-time evolution operator laws and generator extraction.
 
     Emits separate reports for unitarity, composition, invertibility,
@@ -546,33 +530,33 @@ def check_evolution_operator(
         "generator-hermiticity": 1e-6,
     }
     tol = {name: bound * tolerance_scale for name, bound in pinned.items()}
-    grid = make_grid(1, n, length, -length / 2.0)
+    grid = make_grid(1, n, EVOLUTION_LENGTH, -EVOLUTION_LENGTH / 2.0)
     x = grid.axis_points(0)
-    h0 = to_dense(hamiltonian(grid, 0.5 * x**2, 1.0, hbar)).matrix
+    h0 = to_dense(hamiltonian(grid, 0.5 * x**2)).matrix
     x_diag = np.diag(x).astype(complex)
 
     def h_const(_t):
         return h0
 
     def h_driven(t):
-        return h0 + drive_amplitude * np.sin(t) * x_diag
+        return h0 + EVOLUTION_DRIVE * np.sin(t) * x_diag
 
     reports = []
-    u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * n_slices, hbar)
+    u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * EVOLUTION_SLICES)
     reports.append(_report(
         "evolution-unitarity", "evolution-laws",
         unitarity_defect(u_02), tol["evolution-unitarity"],
         details=f"n={n} interval=(0,2)",
     ))
-    u_01 = evolution_operator(h_const, 0.0, 1.0, n_slices, hbar)
-    u_12 = evolution_operator(h_const, 1.0, 2.0, n_slices, hbar)
+    u_01 = evolution_operator(h_const, 0.0, 1.0, EVOLUTION_SLICES)
+    u_12 = evolution_operator(h_const, 1.0, 2.0, EVOLUTION_SLICES)
     composition = float(np.linalg.norm(u_02 - u_12 @ u_01))
     reports.append(_report(
         "evolution-composition", "evolution-laws",
         composition, tol["evolution-composition"],
         details="U(0,2) vs U(1,2) @ U(0,1)",
     ))
-    u_back = evolution_operator(h_const, 2.0, 0.0, 2 * n_slices, hbar)
+    u_back = evolution_operator(h_const, 2.0, 0.0, 2 * EVOLUTION_SLICES)
     inverse = float(np.linalg.norm(u_02 @ u_back - np.eye(grid.size)))
     reports.append(_report(
         "evolution-inverse", "evolution-laws",
@@ -583,7 +567,7 @@ def check_evolution_operator(
     # central-difference truncation goes as delta^2 * |H|^3; at this grid's
     # spectral radius (~50) delta must sit below ~7e-5 to clear the 1e-6 gate
     probe_delta = 2e-5
-    b_const = extract_generator(h_const, t=1.0, delta=probe_delta, hbar=hbar, n_slices=n_slices)
+    b_const = extract_generator(h_const, t=1.0, delta=probe_delta, n_slices=EVOLUTION_SLICES)
     rel_const = float(np.linalg.norm(b_const - h0) / np.linalg.norm(h0))
     reports.append(_report(
         "generator-constant", "generator-extraction",
@@ -591,14 +575,14 @@ def check_evolution_operator(
         details=f"time-independent H, delta={probe_delta:.0e}",
     ))
     t_probe = 1.0
-    b_driven = extract_generator(h_driven, t=t_probe, delta=probe_delta, hbar=hbar,
-                                 n_slices=8 * n_slices)
+    b_driven = extract_generator(h_driven, t=t_probe, delta=probe_delta,
+                                 n_slices=8 * EVOLUTION_SLICES)
     h_t = h_driven(t_probe)
     rel_driven = float(np.linalg.norm(b_driven - h_t) / np.linalg.norm(h_t))
     reports.append(_report(
         "generator-driven", "generator-extraction",
         rel_driven, tol["generator-driven"],
-        details=f"drive={drive_amplitude}*sin(t)*x at t={t_probe}",
+        details=f"drive={EVOLUTION_DRIVE}*sin(t)*x at t={t_probe}",
     ))
     herm = max(hermiticity_defect(b_const), hermiticity_defect(b_driven))
     reports.append(_report(
@@ -757,13 +741,13 @@ def _superposition_group(config: VerifyConfig) -> list[CheckReport]:
     grid, u, _, _ = _harmonic_setup()
     psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
     psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-    return [check_superposition(grid, u, psi1, psi2, WELL_DT, 1000, tolerance=_scaled(1e-10, config))]
+    return [check_superposition(u, psi1, psi2, WELL_DT, 1000, tolerance=_scaled(1e-10, config))]
 
 
 def _gauge_group(config: VerifyConfig) -> list[CheckReport]:
     """A constant shift of the potential."""
-    grid, u, force, psi0 = _harmonic_setup()
-    return [check_gauge_shift(grid, u, psi0, WELL_DT, 2000, WELL_RECORD_EVERY, force_samples=[force],
+    _, u, force, psi0 = _harmonic_setup()
+    return [check_gauge_shift(u, psi0, WELL_DT, 2000, WELL_RECORD_EVERY, force_samples=[force],
                               tolerance=_scaled(1e-10, config))]
 
 

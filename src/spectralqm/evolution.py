@@ -122,8 +122,8 @@ def _mirror_even(a: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[1] % 2 == 0 and np.array_equal(a[:, 1:], a[:, :0:-1])
 
 
-def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
-                      record_every=None, on_record=None, on_drift=None) -> np.ndarray:
+def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
+                      on_record=None, on_drift=None, finite=()) -> np.ndarray:
     """Strang steps on a copy of psi0.amps, done in place; returns the final amplitudes.
 
     Between kicks the state is held in the mixed representation: transformed
@@ -148,7 +148,9 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
     on the full grid.  on_drift(row) runs after every drift, before the kick;
     row(i) returns position-space axis-0 row i on the full grid as a new
     array.  The returned amplitudes are on the full grid too.  A kick or drift
-    phase that overflows (a tiny hbar or mass) raises ValueError before any step.
+    phase that overflows (a tiny hbar or mass), or a value of the caller's
+    `finite` (value, name) pairs that is not finite, raises ValueError before
+    any step.
     """
     grid = psi0.grid
     workers = _fft_workers(grid.dim)
@@ -175,7 +177,7 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps,
         kick_phase = -1j * u_samples[slab] * dt / (2.0 * hbar)
         drift_phase = -1j * hbar * k_squared * dt / (2.0 * mass)
     for phase, name in ((kick_phase, "kick phase U dt / (2 hbar)"),
-                        (drift_phase, "drift phase hbar |k|^2 dt / (2 mass)")):
+                        (drift_phase, "drift phase hbar |k|^2 dt / (2 mass)"), *finite):
         if not np.isfinite(phase).all():
             raise ValueError(f"the {name} overflows for hbar={hbar!r}, mass={mass!r}, dt={dt!r}")
     half_kick = np.exp(kick_phase, out=kick_phase)
@@ -255,6 +257,8 @@ def split_step(
     elif grid.dim == 1 and np.ndim(force_samples) == 1:
         force_samples = [force_samples]
     force_samples = [np.asarray(f, dtype=float) for f in force_samples]
+    with np.errstate(over="ignore"):
+        kinetic_scale = np.float64(hbar) ** 2 / (2.0 * mass)
     dim = grid.dim
     x_weights = [None, *grid.meshes, u_samples, *force_samples]
     k_weights = [*grid.k_derivative_meshes, grid.k_squared]
@@ -279,7 +283,8 @@ def split_step(
             k_moments[start:index + 1] = _weighted_sums(spec, k_weights)
 
     record(0, psi0.amps)
-    amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record)
+    amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record,
+                             finite=[(kinetic_scale, "energy prefactor hbar^2 / (2 mass)")])
     if not store_states:
         states = [Wavefunction(grid, amps, hbar=hbar, mass=mass)]
 
@@ -295,7 +300,7 @@ def split_step(
         p_mean=hbar * k_moments[:, :dim],
         u_mean=u_mean,
         f_mean=x_moments[:, 2 + dim:],
-        energy=hbar**2 / (2.0 * mass) * k_moments[:, dim] + u_mean,
+        energy=kinetic_scale * k_moments[:, dim] + u_mean,
     )
 
 
@@ -350,14 +355,13 @@ def extract_generator(
     t: float,
     delta: float = 1e-4,
     hbar: float = 1.0,
-    t0: float = 0.0,
     n_slices: int = 16,
 ) -> np.ndarray:
     """Recover the Hermitian generator matrix from the evolution operator family.
 
-    Central difference in the second time argument:
+    Central difference in the second time argument, with the family started at 0:
 
-        B = i hbar * [U(t0, t+delta) - U(t0, t-delta)] / (2 delta) * U(t0, t)^-1
+        B = i hbar * [U(0, t+delta) - U(0, t-delta)] / (2 delta) * U(0, t)^-1
 
     with U^-1 = U^dagger.  The three operators are built on an aligned slice
     grid (the long leg is shared), so the long-leg discretization error
@@ -365,10 +369,10 @@ def extract_generator(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if t - delta < t0:
-        raise ValueError("need t - delta >= t0")
+    if t - delta < 0.0:
+        raise ValueError("need t - delta >= 0")
     leg_slices = 4
-    u_minus = evolution_operator(h_of_t, t0, t - delta, n_slices, hbar)
+    u_minus = evolution_operator(h_of_t, 0.0, t - delta, n_slices, hbar)
     u_center = evolution_operator(h_of_t, t - delta, t, leg_slices, hbar) @ u_minus
     u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices, hbar) @ u_center
     diff = (u_plus - u_minus) / (2.0 * delta)

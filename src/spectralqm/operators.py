@@ -34,7 +34,6 @@ __all__ = [
     "apply",
     "expectation",
     "to_dense",
-    "commutator",
     "hermiticity_defect",
 ]
 
@@ -198,7 +197,7 @@ def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = hbar**2 * grid.k_squared / (2.0 * mass)
+        samples = np.float64(hbar) ** 2 * grid.k_squared / (2.0 * mass)
     if not np.isfinite(samples).all():
         raise ValueError(f"kinetic samples hbar^2 |k|^2 / (2 mass) overflow for hbar={hbar!r}, "
                          f"mass={mass!r}")
@@ -258,16 +257,6 @@ def to_dense(op: LinearOperator, grid: Grid | None = None) -> DenseOperator:
 
 def _as_matrix(m) -> np.ndarray:
     return m.matrix if isinstance(m, DenseOperator) else np.asarray(m)
-
-
-def commutator(a, b) -> DenseOperator:
-    """[A, B] = AB - BA on dense forms."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"commutator dimension mismatch: {ma.shape} vs {mb.shape}")
-    grid = a.grid if isinstance(a, DenseOperator) else (
-        b.grid if isinstance(b, DenseOperator) else None)
-    return DenseOperator(ma @ mb - mb @ ma, grid)
 
 
 def hermiticity_defect(m) -> float:

@@ -161,24 +161,25 @@ def _slit_wall_samples(grid: Grid, spec: dict) -> np.ndarray:
 
 
 def potential_samples(grid: Grid, spec: dict) -> np.ndarray:
+    """U sampled on the grid; refused unless every sample is finite."""
     kind = spec["kind"]
-    if kind == "free":
-        return np.zeros(grid.shape)
-    if kind == "harmonic":
-        omega = float(spec.get("omega", 1.0))
-        u = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            u = u + 0.5 * omega**2 * grid.meshes[a] ** 2
-        return u
-    if kind == "quartic":
-        a_coef = float(spec.get("a", 1.0))
-        u = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            u = u + 0.25 * a_coef * grid.meshes[a] ** 4
-        return u
-    if kind == "slit_wall":
-        return _slit_wall_samples(grid, spec)
-    raise ValueError(f"unknown potential kind {kind!r}")
+    u = np.zeros(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "harmonic":
+            omega_squared = np.float64(spec.get("omega", 1.0)) ** 2
+            for a in range(grid.dim):
+                u = u + 0.5 * omega_squared * grid.meshes[a] ** 2
+        elif kind == "quartic":
+            a_coef = float(spec.get("a", 1.0))
+            for a in range(grid.dim):
+                u = u + 0.25 * a_coef * grid.meshes[a] ** 4
+        elif kind == "slit_wall":
+            u = _slit_wall_samples(grid, spec)
+        elif kind != "free":
+            raise ValueError(f"unknown potential kind {kind!r}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"the {kind} potential samples overflow for {spec!r}")
+    return u
 
 
 def _analytic_force(grid: Grid, spec: dict):
@@ -225,6 +226,9 @@ def run(config: ScenarioConfig) -> Trajectory:
 # Higher-order fringes outside the cone are real, but their spacing is
 # stretched by the sin->tan projection and is not what the formula predicts.
 PARAXIAL_HALF_TANGENT = 0.3
+# a fringe is a peak of the smoothed intensity with a prominence of at least
+# this share of its maximum
+PEAK_PROMINENCE_FRACTION = 0.08
 
 
 @dataclass(frozen=True)
@@ -281,9 +285,8 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> list[int]:
     return peaks
 
 
-def extract_fringe_spacing(
-    positions: np.ndarray, intensity: np.ndarray, prominence_fraction: float = 0.08
-) -> tuple[float | None, list[float]]:
+def extract_fringe_spacing(positions: np.ndarray,
+                           intensity: np.ndarray) -> tuple[float | None, list[float]]:
     """Median spacing of intensity peaks after a 3-point moving average.
 
     The median is robust against weak edge lobes; peak positions are refined
@@ -293,7 +296,7 @@ def extract_fringe_spacing(
     top = float(np.max(smoothed))
     if top <= 0.0:
         return None, []
-    idx = _prominent_peaks(smoothed, prominence_fraction * top)
+    idx = _prominent_peaks(smoothed, PEAK_PROMINENCE_FRACTION * top)
     peaks = [_refine_peak(positions, smoothed, i) for i in idx]
     if len(peaks) < 2:
         return None, peaks

@@ -34,7 +34,7 @@ from spectralqm.checks import (
     field_energy_spectrum,
     random_smooth_fields,
 )
-from spectralqm.operators import commutator, kinetic_op, momentum_op as p_op
+from spectralqm.operators import SpectralReal, kinetic_op, momentum_op as p_op
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +136,16 @@ def test_ehrenfest_check_sees_a_one_percent_error(harmonic_trajectory, check, co
 def test_ehrenfest_second_order_stencil_matches_h2_error_model(harmonic_trajectory):
     # 3-point differencing of <x> = cos(t) carries the h^2/6 truncation term;
     # with h = 1e-2 that is 1.67e-5, which the 4th-order stencil removes
-    v2 = check_ehrenfest_velocity(harmonic_trajectory, tolerance=1.0, stencil=2)
-    assert 1.2e-5 < v2.residual < 2.2e-5
-    v4 = check_ehrenfest_velocity(harmonic_trajectory, tolerance=1.0, stencil=4)
-    assert v4.residual < 1e-6
+    traj = harmonic_trajectory
+    h = traj.times[1] - traj.times[0]
+
+    def velocity_residual(stencil):
+        d, interior = checks._central_difference(traj.x_mean[:, 0], h, stencil)
+        return np.max(np.abs(d - traj.p_mean[interior, 0]))
+
+    assert 1.2e-5 < velocity_residual(2) < 2.2e-5
+    assert velocity_residual(4) < 1e-6
+    assert check_ehrenfest_velocity(traj, tolerance=1.0).residual == velocity_residual(4)
 
 
 def test_ehrenfest_free_particle(harmonic):
@@ -209,7 +215,7 @@ def test_commutator_system_free_kinetic_momentum_commute(commutator_states):
     grid, states = commutator_states
     t_d = to_dense(kinetic_op(grid))
     p_d = to_dense(p_op(grid))
-    c = commutator(t_d, p_d).matrix
+    c = t_d.matrix @ p_d.matrix - p_d.matrix @ t_d.matrix
     worst = max(
         np.linalg.norm(c @ s.amps) * np.sqrt(grid.cell_volume) for s in states
     )
@@ -238,8 +244,12 @@ def test_commutant_is_scalars(n):
     assert f"nullity=1" in report.details
 
 
-def test_commutant_x_only_negative_control():
-    report = check_commutant_uniqueness(8, x_only=True)
+def test_commutant_x_only_negative_control(monkeypatch):
+    # with P = 0 only the X equations remain; their solutions are all diagonal
+    # matrices (nullity n), so P is load-bearing
+    monkeypatch.setattr(checks, "momentum_op",
+                        lambda grid: SpectralReal(grid, np.zeros(grid.shape), label="p[0]"))
+    report = check_commutant_uniqueness(8)
     assert not report.passed
     assert "nullity=8" in report.details
 
@@ -313,10 +323,10 @@ def test_random_smooth_fields_match_a_per_mode_sum(field_grid):
     # the fields are the harmonic sums drawn (cos, sin) per mode, component by component
     x, length = field_grid.axis_points(0), field_grid.length[0]
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    fields = random_smooth_fields(field_grid, rng, max_mode=5)
+    fields = random_smooth_fields(field_grid, rng)  # modes 1..n/8
     expected = np.zeros((6, 256))
     for c in range(6):
-        for m in range(1, 6):
+        for m in range(1, 256 // 8 + 1):
             a, b = ref_rng.standard_normal(2)
             expected[c] += a * np.cos(2 * np.pi * m * x / length) + b * np.sin(2 * np.pi * m * x / length)
     assert np.max(np.abs(np.concatenate([fields.e, fields.h]) - expected)) <= 1e-12
@@ -389,7 +399,7 @@ def test_superposition_check(harmonic):
     grid, u, _ = harmonic
     psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
     psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-    report = check_superposition(grid, u, psi1, psi2, 1e-3, 500)
+    report = check_superposition(u, psi1, psi2, 1e-3, 500)
     assert report.passed and report.residual < 1e-10
 
 
@@ -406,14 +416,14 @@ def test_superposition_sees_a_nonlinear_propagator(harmonic, monkeypatch):
     monkeypatch.setattr(checks, "split_step", nonlinear)
     psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
     psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-    report = check_superposition(grid, u, psi1, psi2, 1e-3, 500)
+    report = check_superposition(u, psi1, psi2, 1e-3, 500)
     assert not report.passed and report.residual > 1e-3
 
 
 def test_gauge_shift_check(harmonic):
     grid, u, force = harmonic
     psi0 = gaussian_packet(grid, 1.0, 0.0, 1.0)
-    report = check_gauge_shift(grid, u, psi0, 1e-3, 500, 10, force_samples=[force])
+    report = check_gauge_shift(u, psi0, 1e-3, 500, 10, force_samples=[force])
     assert report.passed and report.residual < 1e-10
 
 
@@ -435,7 +445,7 @@ def test_gauge_shift_sees_a_sign_flip(harmonic, monkeypatch):
         return trajectory
 
     monkeypatch.setattr(checks, "split_step", flip_second_run)
-    report = check_gauge_shift(grid, u, psi0, 1e-3, 500, 10, force_samples=[force])
+    report = check_gauge_shift(u, psi0, 1e-3, 500, 10, force_samples=[force])
     assert len(calls) == 2
     assert not report.passed and report.residual > 1.0
 
@@ -447,7 +457,7 @@ EVOLUTION_REPORTS = {
 
 
 def test_evolution_operator_reports():
-    reports = check_evolution_operator(16, length=8.0, n_slices=32)
+    reports = check_evolution_operator()
     assert {r.name for r in reports} == EVOLUTION_REPORTS
     for r in reports:
         assert r.passed, f"{r.name}: {r.residual} > {r.tolerance}"
@@ -514,7 +524,7 @@ EVOLUTION_FAULTS = {
 @pytest.mark.parametrize("name", sorted(EVOLUTION_FAULTS))
 def test_evolution_operator_report_sees_its_fault(monkeypatch, name):
     monkeypatch.setattr(checks, *EVOLUTION_FAULTS[name]())
-    reports = {r.name: r for r in check_evolution_operator(16, length=8.0, n_slices=32)}
+    reports = {r.name: r for r in check_evolution_operator()}
     assert set(reports) == EVOLUTION_REPORTS
     assert not reports[name].passed, f"{name}: {reports[name].residual}"
     assert reports[name].tolerance > 0.0
@@ -528,7 +538,7 @@ def test_evolution_operator_report_sees_its_fault(monkeypatch, name):
 
 
 def test_evolution_operator_zero_tolerance_scale_fails_every_report():
-    reports = check_evolution_operator(16, length=8.0, n_slices=32, tolerance_scale=0.0)
+    reports = check_evolution_operator(tolerance_scale=0.0)
     assert {r.name for r in reports} == EVOLUTION_REPORTS
     assert not any(r.passed for r in reports)
     assert all(r.tolerance == 0.0 for r in reports)

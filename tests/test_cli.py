@@ -563,17 +563,31 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
         assert "steps_per_second" not in manifest and "fft_workers" not in manifest
 
 
+# the config change of each case: a tiny unit, or a huge unit or potential coefficient
+OVERFLOWING_INPUTS = {
+    "hbar": {"hbar": 1e-320},
+    "mass": {"mass": 1e-320},
+    "huge-hbar": {"hbar": 1e200},
+    "huge-omega": {"potential": {"kind": "harmonic", "omega": 1e200}},
+    "huge-a": {"potential": {"kind": "quartic", "a": 1e308}},
+}
+
+
 @pytest.mark.parametrize("command, unit", [
     ("evolve", "hbar"), ("evolve", "mass"), ("spectrum", "mass"),
     ("diffract", "hbar"), ("diffract", "mass"),
+    *[(command, unit) for unit in ("huge-hbar", "huge-omega", "huge-a")
+      for command in ("evolve", "spectrum")],
 ])
 def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
                                          fast_slit_config_path, command, unit):
     # 1e-320 overflows U dt / hbar, |k|^2 / mass or p0 x / hbar to inf, whose exp is NaN.
     # spectrum with hbar 1e-320 is absent: hbar^2 |k|^2 underflows to an exact 0,
-    # the correctly rounded value, so nothing non-finite arises
+    # the correctly rounded value, so nothing non-finite arises.  hbar 1e200
+    # overflows hbar^2 (kinetic samples, energy prefactor); omega 1e200 and a 1e308
+    # overflow the potential samples
     path = fast_slit_config_path if command == "diffract" else harmonic_config_path
-    data = dict(json.loads(Path(path).read_text()), **{unit: 1e-320})
+    data = dict(json.loads(Path(path).read_text()), **OVERFLOWING_INPUTS[unit])
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
