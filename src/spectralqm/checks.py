@@ -15,6 +15,7 @@ comparisons 1e-4..1e-5 (see the Ehrenfest checks for the error model).
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -782,20 +783,25 @@ _SUITE = (
 )
 
 
-def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
+def run_all(config: VerifyConfig | None = None,
+            group_seconds: dict | None = None) -> list[CheckReport]:
     """Run every check at the suite's fixed sizes; deterministic under the seed.
 
     A group of checks that raises does not abort the suite: each of its
     checks is reported as failed, under the check's own name and tag, with
     residual inf, tolerance 0 and an `error:` detail.  Reports come back
-    sorted by name.
+    sorted by name.  A given `group_seconds` dict receives each group's wall
+    time, keyed by the group's name (`harmonic`, ..., `evolution`).
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
     for group, names in _SUITE:
+        start = time.perf_counter()
         try:
             reports.extend(group(config))
         except Exception as exc:  # noqa: BLE001 - the suite must not abort
             reports.extend(CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
                            for name, tag in names)
+        if group_seconds is not None:
+            group_seconds[group.__name__[1:].removesuffix("_group")] = time.perf_counter() - start
     return sorted(reports, key=lambda r: r.name)

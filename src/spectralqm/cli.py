@@ -18,12 +18,14 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .checks import VerifyConfig, _central_difference, run_all
@@ -129,7 +131,13 @@ def _load_scenario(args) -> ScenarioConfig:
     return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 
-def _write_verify(out_dir: Path, config: VerifyConfig, reports):
+def _compute_verify(config: VerifyConfig, args):
+    group_seconds: dict[str, float] = {}
+    return run_all(config, group_seconds), group_seconds
+
+
+def _write_verify(out_dir: Path, config: VerifyConfig, result):
+    reports, _ = result
     name_w = max(len(r.name) for r in reports)
     tag_w = max(len(r.tag) for r in reports)
     print(f"{'check':<{name_w}}  {'tag':<{tag_w}}  {'residual':>12}  {'tolerance':>12}  result")
@@ -214,22 +222,28 @@ class _Command:
     compute: Callable   # (config, args) -> result
     write: Callable     # (out_dir, config, result) -> (output paths, exit code); prints stdout
     options: tuple = ()  # (flag, type, default) of each flag besides --config/--out/--seed
-    propagates: bool = False  # the manifest adds steps_per_second and fft_workers
+    fields: Callable = lambda config, result, phases: {}  # the command's own manifest fields
+
+
+def _propagation_fields(config: ScenarioConfig, result, phases) -> dict:
+    return {"steps_per_second": config.steps / phases["compute"],
+            "fft_workers": _fft_workers(config.grid["dim"])}
 
 
 # The compute steps look run_all, run, compute_spectrum and run_diffraction up
 # when they are called, so a replaced module global is the one that runs.
 _COMMANDS = {
-    "verify": _Command("run the full check suite", _load_verify,
-                       lambda config, args: run_all(config), _write_verify,
-                       options=(("--tolerance-scale", float, None),)),
+    "verify": _Command("run the full check suite", _load_verify, _compute_verify, _write_verify,
+                       options=(("--tolerance-scale", float, None),),
+                       fields=lambda config, result, phases: {"group_seconds": result[1]}),
     "evolve": _Command("run a scenario and write the trajectory CSV", _load_scenario,
-                       lambda config, args: run(config), _write_evolve, propagates=True),
+                       lambda config, args: run(config), _write_evolve,
+                       fields=_propagation_fields),
     "spectrum": _Command("lowest eigenvalues of the configured setup", _load_scenario,
                          _compute_spectrum, _write_spectrum, options=(("--levels", int, 5),)),
     "diffract": _Command("run a slit scenario and analyze fringes", _load_scenario,
                          lambda config, args: run_diffraction(config), _write_diffract,
-                         propagates=True),
+                         fields=_propagation_fields),
 }
 
 
@@ -248,10 +262,10 @@ def _run_command(args) -> int:
     phases = {phase: b - a for phase, a, b in zip(("load", "compute", "write"), marks, marks[1:])}
     manifest = {"command": args.command, "config": config.as_dict(), "version": __version__,
                 "seed": config.seed, "duration_seconds": time.perf_counter() - marks[0],
-                "phase_seconds": phases, "outputs": [str(path) for path in outputs]}
-    if command.propagates:
-        manifest.update(steps_per_second=config.steps / phases["compute"],
-                        fft_workers=_fft_workers(config.grid["dim"]))
+                "phase_seconds": phases, "outputs": [str(path) for path in outputs],
+                "python_version": platform.python_version(), "numpy_version": np.__version__,
+                "scipy_version": scipy.__version__, "cpu_count": os.cpu_count(),
+                **command.fields(config, result, phases)}
     write_json(out_dir / f"{args.command}_manifest.json", manifest)
     return code
 

@@ -15,6 +15,9 @@ that the `on_drift` hook reads through its `row(i)` callable.  Its records
 are reduced a block of states at a time.  The evolution operator is a plain
 unitary matrix, a time-ordered product of slices exp(-i H dt / hbar), each
 through a Hermitian eigendecomposition, which keeps it unitary to roundoff.
+Its slices are also taken a block at a time: one stacked `eigh` decomposes
+the block's distinct Hamiltonians, and a slice whose H is bit-for-bit equal
+to the one before it reuses that slice's exponential.
 Spectra of grid operators are matrix-free up to N/32 levels: ARPACK applies
 the operator through its own `_apply_amps`, and a Rayleigh-Ritz step plus a
 deflated ARPACK run make the states orthonormal and check that no copy of a
@@ -60,8 +63,10 @@ SPECTRUM_DENSE_FRACTION = 1 / 32
 # error of about its square (times |H| over the spectral gap)
 DEFLATION_SLACK = 1e-9
 DEFLATION_CHECK_TOL = 1e-6
-# split_step reduces its records a block of states at a time: about this many
-# bytes of complex amplitudes per block, and never fewer than one state.
+# split_step reduces its records a block of states at a time, and
+# evolution_operator decomposes its slices a block of Hamiltonians at a time:
+# about this many bytes of complex amplitudes or matrices per block (64
+# slices at n = 32), and never fewer than one state or slice.
 RECORD_BLOCK_BYTES = 1 << 20
 
 
@@ -309,18 +314,16 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
 
 
-def _expm_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor * H) via eigendecomposition; exactly unitary for imaginary factor."""
-    evals, vecs = sla.eigh(h)
-    return (vecs * np.exp(factor * evals)) @ vecs.conj().T
-
-
 def _hermitian_at(h_of_t, t: float) -> np.ndarray:
     h = _as_matrix(h_of_t(t))
     defect = hermiticity_defect(h)
-    if defect > 1e-8:
+    if not defect <= 1e-8:  # a non-finite H has a NaN defect
         raise ValueError(f"H(t={t}) is not Hermitian (defect {defect:.3e})")
     return h
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def evolution_operator(
@@ -336,17 +339,34 @@ def evolution_operator(
     from the left, so states compose as psi(t2) = U(t1,t2) psi(t1) and
     U(t1,t3) = U(t2,t3) @ U(t1,t2) holds exactly when slice boundaries align.
     t2 < t1 runs the slices backward, realizing the inverse operator.
+
+    The slices go a block of RECORD_BLOCK_BYTES of matrices at a time.  Every
+    slice's H is checked for Hermiticity; the block's distinct ones go through
+    one stacked `eigh` and one stacked product (V e^{-i lambda dt/hbar}) V^H.
+    A slice whose H equals the previous slice's bit for bit reuses its
+    exponential, so a constant H costs one decomposition per block.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
     first = _hermitian_at(h_of_t, t1)
     dim = first.shape[0]
     u = np.eye(dim, dtype=complex)
-    if t2 != t1:
-        dt = (t2 - t1) / n_slices
-        for s in range(n_slices):
-            mid = t1 + (s + 0.5) * dt
-            u = _expm_hermitian(_hermitian_at(h_of_t, mid), -1j * dt / hbar) @ u
+    if t2 == t1:
+        return u
+    dt = (t2 - t1) / n_slices
+    block = max(1, RECORD_BLOCK_BYTES // (16 * dim * dim))
+    for start in range(0, n_slices, block):
+        distinct, which = [], []
+        for s in range(start, min(start + block, n_slices)):
+            h = _hermitian_at(h_of_t, t1 + (s + 0.5) * dt)
+            if not distinct or not _same_bits(h, distinct[-1]):
+                distinct.append(h.copy())  # h_of_t may refill one buffer
+            which.append(len(distinct) - 1)
+        evals, vecs = np.linalg.eigh(np.stack(distinct))
+        phases = np.exp((-1j * dt / hbar) * evals)
+        slices = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        for k in which:
+            u = slices[k] @ u
     return u
 
 

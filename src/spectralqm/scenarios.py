@@ -183,17 +183,26 @@ def potential_samples(grid: Grid, spec: dict) -> np.ndarray:
 
 
 def _analytic_force(grid: Grid, spec: dict):
-    """Closed-form -dU/dx per axis, or None to fall back to spectral."""
+    """Closed-form -dU/dx per axis, or None to fall back to spectral.
+
+    Refused unless every sample is finite: the force can overflow where the
+    potential does not (a |x|^3 > a x^4 / 4 for |x| < 4).
+    """
     kind = spec["kind"]
     if kind == "free":
         return [np.zeros(grid.shape) for _ in range(grid.dim)]
-    if kind == "harmonic":
-        omega = float(spec.get("omega", 1.0))
-        return [-(omega**2) * grid.meshes[a] for a in range(grid.dim)]
-    if kind == "quartic":
-        a_coef = float(spec.get("a", 1.0))
-        return [-a_coef * grid.meshes[a] ** 3 for a in range(grid.dim)]
-    return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "harmonic":
+            omega_squared = np.float64(spec.get("omega", 1.0)) ** 2
+            force = [-omega_squared * grid.meshes[a] for a in range(grid.dim)]
+        elif kind == "quartic":
+            a_coef = float(spec.get("a", 1.0))
+            force = [-a_coef * grid.meshes[a] ** 3 for a in range(grid.dim)]
+        else:
+            return None
+    if not all(np.isfinite(f).all() for f in force):
+        raise ValueError(f"the {kind} force -dU/dx overflows for {spec!r}")
+    return force
 
 
 def build(config: ScenarioConfig) -> tuple[Grid, np.ndarray, Wavefunction]:

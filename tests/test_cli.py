@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import spectralqm
 from spectralqm import cli
@@ -561,6 +563,19 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
         assert manifest["fft_workers"] == (1 if command == "evolve" else 2)
     else:
         assert "steps_per_second" not in manifest and "fft_workers" not in manifest
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
+    assert manifest["cpu_count"] == os.cpu_count()
+    if command == "verify":
+        # one wall time per check group, all inside the compute phase
+        groups = manifest["group_seconds"]
+        assert list(groups) == ["harmonic", "quartic", "parseval", "commutator", "commutant",
+                                "antihermitian", "field", "superposition", "gauge", "evolution"]
+        assert all(seconds >= 0 for seconds in groups.values())
+        assert sum(groups.values()) <= phases["compute"]
+    else:
+        assert "group_seconds" not in manifest
 
 
 # the config change of each case: a tiny unit, or a huge unit or potential coefficient
@@ -570,6 +585,9 @@ OVERFLOWING_INPUTS = {
     "huge-hbar": {"hbar": 1e200},
     "huge-omega": {"potential": {"kind": "harmonic", "omega": 1e200}},
     "huge-a": {"potential": {"kind": "quartic", "a": 1e308}},
+    "huge-a-force": {"grid": {"dim": 1, "n": 64, "length": 3.0, "origin": -1.5},
+                     "potential": {"kind": "quartic", "a": 1e308},
+                     "initial": {"kind": "gaussian", "x0": 0.0, "p0": 0.0, "sigma": 0.2}},
 }
 
 
@@ -578,6 +596,7 @@ OVERFLOWING_INPUTS = {
     ("diffract", "hbar"), ("diffract", "mass"),
     *[(command, unit) for unit in ("huge-hbar", "huge-omega", "huge-a")
       for command in ("evolve", "spectrum")],
+    ("evolve", "huge-a-force"),
 ])
 def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
                                          fast_slit_config_path, command, unit):
@@ -585,7 +604,8 @@ def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
     # spectrum with hbar 1e-320 is absent: hbar^2 |k|^2 underflows to an exact 0,
     # the correctly rounded value, so nothing non-finite arises.  hbar 1e200
     # overflows hbar^2 (kinetic samples, energy prefactor); omega 1e200 and a 1e308
-    # overflow the potential samples
+    # overflow the potential samples.  On a box of length 3, a 1e308 leaves the
+    # potential a x^4 / 4 finite but overflows the force a x^3, which only evolve uses
     path = fast_slit_config_path if command == "diffract" else harmonic_config_path
     data = dict(json.loads(Path(path).read_text()), **OVERFLOWING_INPUTS[unit])
     out = tmp_path / "out"

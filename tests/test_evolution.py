@@ -455,6 +455,80 @@ def test_evolution_operator_inverse(driven_system):
     assert np.linalg.norm(forward @ backward - np.eye(grid.size)) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def driven_32():
+    # the evolution-operator check's system: 64 slices of its 32x32 H fill a block
+    grid = make_grid(1, 32, 12.0, -6.0)
+    x = grid.axis_points(0)
+    h0 = to_dense(hamiltonian(grid, 0.5 * x**2)).matrix
+    x_diag = np.diag(x).astype(complex)
+    assert RECORD_BLOCK_BYTES // h0.nbytes == 64
+    return h0, (lambda t: h0 + 0.1 * np.sin(t) * x_diag)
+
+
+def _slice_by_slice(h_of_t, t1, t2, n_slices):
+    """The time-ordered product with one scipy eigh per slice."""
+    u = np.eye(h_of_t(t1).shape[0], dtype=complex)
+    dt = (t2 - t1) / n_slices
+    for s in range(n_slices):
+        evals, vecs = sla.eigh(h_of_t(t1 + (s + 0.5) * dt))
+        u = (vecs * np.exp(-1j * dt * evals)) @ vecs.conj().T @ u
+    return u
+
+
+@pytest.mark.parametrize("n_slices", [1, 64, 65, 130])
+@pytest.mark.parametrize("driven", [False, True], ids=["constant", "driven"])
+@pytest.mark.parametrize("t1, t2", [(0.0, 1.5), (1.5, 0.0)], ids=["forward", "backward"])
+def test_evolution_operator_matches_a_slice_by_slice_loop(driven_32, driven, n_slices, t1, t2):
+    h0, h_driven = driven_32
+    h_of_t = h_driven if driven else (lambda _t: h0)
+    u = evolution_operator(h_of_t, t1, t2, n_slices)
+    assert np.linalg.norm(u - _slice_by_slice(h_of_t, t1, t2, n_slices)) < 1e-12
+
+
+def test_evolution_operator_copies_a_refilled_buffer(driven_32):
+    # an h_of_t that refills and returns one array each call
+    _, h_driven = driven_32
+    buffer = np.empty_like(h_driven(0.0))
+
+    def refilled(t):
+        buffer[...] = h_driven(t)
+        return buffer
+
+    u = evolution_operator(refilled, 0.0, 1.5, 65)
+    assert np.linalg.norm(u - _slice_by_slice(h_driven, 0.0, 1.5, 65)) < 1e-12
+
+
+def test_evolution_operator_decomposes_a_constant_h_once_per_block(monkeypatch, driven_32):
+    h0, h_driven = driven_32
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        decomposed.append(1 if a.ndim == 2 else a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(evolution.np.linalg, "eigh", counting)
+    evolution_operator(lambda _t: h0, 0.0, 2.0, 128)
+    assert sum(decomposed) <= 2 and len(decomposed) == 2
+    decomposed.clear()
+    evolution_operator(h_driven, 0.0, 2.0, 128)
+    assert sum(decomposed) == 128 and len(decomposed) == 2
+
+
+@pytest.mark.parametrize("entry, change", [((0, 1), 1.0), ((0, 0), np.nan)],
+                         ids=["asymmetric", "nan"])
+def test_evolution_operator_checks_every_slice_for_hermiticity(driven_32, entry, change):
+    # numpy's eigh returns NaN levels for a NaN matrix instead of raising
+    h0, _ = driven_32
+    bad = h0.copy()
+    bad[entry] += change
+    dt = (1.0 - 0.0) / 64
+    t_bad = 0.0 + (29 + 0.5) * dt  # a slice in the middle of the first block
+    with pytest.raises(ValueError, match=rf"H\(t={t_bad}\) is not Hermitian"):
+        evolution_operator(lambda t: bad if t == t_bad else h0, 0.0, 1.0, 64)
+
+
 def test_extract_generator_constant(driven_system):
     grid, h0, _ = driven_system
     b = extract_generator(lambda t: h0, t=1.0, delta=1e-4, n_slices=16)
