@@ -230,6 +230,20 @@ def _propagation_fields(config: ScenarioConfig, result, phases) -> dict:
             "fft_workers": _fft_workers(config.grid["dim"])}
 
 
+def _evolve_fields(config: ScenarioConfig, traj: Trajectory, phases) -> dict:
+    # the energy drift is relative to |E(0)|, and null when E(0) is 0
+    e0 = abs(float(traj.energy[0]))
+    energy_drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
+    return {**_propagation_fields(config, traj, phases),
+            "max_norm_drift": float(np.max(np.abs(traj.norm - 1.0))),
+            "relative_energy_drift": energy_drift / e0 if e0 else None}
+
+
+def _diffract_fields(config: ScenarioConfig, result, phases) -> dict:
+    return {**_propagation_fields(config, result, phases),
+            "norm_drift": abs(result.final_norm - 1.0)}
+
+
 # The compute steps look run_all, run, compute_spectrum and run_diffraction up
 # when they are called, so a replaced module global is the one that runs.
 _COMMANDS = {
@@ -238,12 +252,12 @@ _COMMANDS = {
                        fields=lambda config, result, phases: {"group_seconds": result[1]}),
     "evolve": _Command("run a scenario and write the trajectory CSV", _load_scenario,
                        lambda config, args: run(config), _write_evolve,
-                       fields=_propagation_fields),
+                       fields=_evolve_fields),
     "spectrum": _Command("lowest eigenvalues of the configured setup", _load_scenario,
                          _compute_spectrum, _write_spectrum, options=(("--levels", int, 5),)),
     "diffract": _Command("run a slit scenario and analyze fringes", _load_scenario,
                          lambda config, args: run_diffraction(config), _write_diffract,
-                         fields=_propagation_fields),
+                         fields=_diffract_fields),
 }
 
 

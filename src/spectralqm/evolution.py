@@ -18,10 +18,13 @@ through a Hermitian eigendecomposition, which keeps it unitary to roundoff.
 Its slices are also taken a block at a time: one stacked `eigh` decomposes
 the block's distinct Hamiltonians, and a slice whose H is bit-for-bit equal
 to the one before it reuses that slice's exponential.
-Spectra of grid operators are matrix-free up to N/32 levels: ARPACK applies
-the operator through its own `_apply_amps`, and a Rayleigh-Ritz step plus a
-deflated ARPACK run make the states orthonormal and check that no copy of a
-degenerate level was missed.
+Spectra of grid operators are matrix-free up to N/32 levels.  A Hamiltonian
+`hamiltonian(grid, U)` is a real symmetric matrix (real U, and a kinetic
+symbol even in k), so ARPACK's symmetric Lanczos driver solves it in real
+arithmetic, applying it through its own `_apply_amps`; a Rayleigh-Ritz step
+plus a deflated ARPACK run make the states orthonormal and check that no copy
+of a degenerate level was missed.  One probe apply of a real random state
+admits an operator to that route; a complex Hermitian one is solved densely.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ SPECTRUM_DENSE_FRACTION = 1 / 32
 # error of about its square (times |H| over the spectral gap)
 DEFLATION_SLACK = 1e-9
 DEFLATION_CHECK_TOL = 1e-6
+# a grid operator is solved matrix-free only if it maps a real state to one
+# whose imaginary part is below this share of its largest magnitude
+REALNESS_TOL = 1e-12
 # split_step reduces its records a block of states at a time, and
 # evolution_operator decomposes its slices a block of Hamiltonians at a time:
 # about this many bytes of complex amplitudes or matrices per block (64
@@ -402,20 +408,28 @@ def extract_generator(
 def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     """Lowest eigenpairs of a Hermitian Hamiltonian.
 
-    A grid LinearOperator such as `hamiltonian(...)` is solved matrix-free by
-    ARPACK through its own `_apply_amps` (see `_lowest_matrix_free`) while
-    n_levels stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points.
-    The two solvers were measured to cost the same at N/32 to N/27 levels on
-    2-D harmonic wells of 1024 to 4096 points: ARPACK's work grows with the
+    A real symmetric grid LinearOperator such as `hamiltonian(...)` is solved
+    matrix-free, in real arithmetic, by ARPACK's symmetric Lanczos driver
+    through its own `_apply_amps` (see `_lowest_matrix_free`) while n_levels
+    stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points.  The two
+    solvers were measured to cost the same at N/32 to N/27 levels on 2-D
+    harmonic wells of 1024 to 4096 points: ARPACK's work grows with the
     square of its Krylov basis of 2 n_levels + 1 states, the subset `eigh`'s
     hardly with n_levels.  From that share on, or when the Krylov basis would
     hold more entries than the largest dense matrix, the matrix is built with
     `to_dense` and solved by the subset `eigh`; above the dense size limit
-    such a request is refused.  On fine 1-D grids ARPACK takes thousands of
-    steps (the kinetic term spans a wide range against the level spacing), so
-    there the dense path is faster even for a few levels; no workload asks
-    for such spectra.  A DenseOperator already holds its matrix and goes
-    through the Hermiticity pre-check and the subset `eigh`.
+    such a request is refused.
+
+    One probe apply decides whether a grid operator is real: a real random
+    state must map to a result whose imaginary part is at most REALNESS_TOL
+    of its largest magnitude.  A complex Hermitian operator such as H + c p
+    fails it, and takes the dense route at any n_levels; above the dense size
+    limit it is refused.  On fine 1-D grids ARPACK takes thousands of steps
+    (the kinetic term spans a wide range against the level spacing): 4 levels
+    of a 1024-point well over 20 length units take about 6800 applies and
+    0.69-0.84 s, against 0.40-0.44 s for the dense path (2-core host).  No
+    workload asks for such spectra.  A DenseOperator already holds its matrix
+    and goes through the Hermiticity pre-check and the subset `eigh`.
 
     Eigenstates are orthonormal under the dx^dim measure and returned with
     energies ascending.
@@ -429,13 +443,19 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     # eigsh keeps a Krylov basis of 2 n_levels + 1 states; one that would hold
     # more entries than the largest dense matrix is no cheaper than that matrix
     krylov_entries = n * (2 * n_levels + 1)
-    if not isinstance(h, DenseOperator) and (
-        n_levels >= SPECTRUM_DENSE_FRACTION * n or krylov_entries > DENSE_SIZE_LIMIT**2
-    ):
-        if n > DENSE_SIZE_LIMIT:
-            raise ValueError(f"{n_levels} of {n} levels need a dense solve, and the dense "
-                             f"limit is {DENSE_SIZE_LIMIT} points; ask for fewer levels")
-        h = to_dense(h)
+    if not isinstance(h, DenseOperator):
+        if n_levels >= SPECTRUM_DENSE_FRACTION * n or krylov_entries > DENSE_SIZE_LIMIT**2:
+            refusal = (f"{n_levels} of {n} levels need a dense solve, and the dense limit is "
+                       f"{DENSE_SIZE_LIMIT} points; ask for fewer levels")
+        elif not _maps_real_to_real(h, grid):
+            refusal = (f"{h.label} maps real states to complex ones, so its spectrum needs a "
+                       f"dense solve, and the dense limit is {DENSE_SIZE_LIMIT} points")
+        else:
+            refusal = None
+        if refusal is not None:
+            if n > DENSE_SIZE_LIMIT:
+                raise ValueError(refusal)
+            h = to_dense(h)
     if isinstance(h, DenseOperator):
         defect = hermiticity_defect(h.matrix)
         if defect > HERMITICITY_PRE_TOL:
@@ -447,15 +467,31 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     return [(float(e), Wavefunction(grid, a.astype(complex))) for e, a in zip(evals, states)]
 
 
+def _maps_real_to_real(h, grid: Grid) -> bool:
+    """Whether h maps a real random state to a real one, to REALNESS_TOL of its largest entry.
+
+    A Hermitian grid operator that passes is a real symmetric matrix.  The
+    probe has its own random stream, so the solver's start vectors do not move.
+    """
+    out = h._apply_amps(np.random.default_rng(1).standard_normal(grid.shape))
+    return bool(np.abs(out.imag).max() <= REALNESS_TOL * np.abs(out).max())
+
+
 def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_levels eigenpairs of a grid operator by ARPACK, checked by deflation.
+    """Lowest n_levels eigenpairs of a real symmetric grid operator by ARPACK, checked by deflation.
+
+    Everything runs in real arithmetic: `eigsh` gets a float operator whose
+    product is the real part of `_apply_amps` (`spectrum` has probed that the
+    imaginary part is roundoff), so it takes ARPACK's symmetric Lanczos driver;
+    a complex operator would take the general complex Arnoldi driver, which
+    took three times the driver time on a 64x32 well.  The states are real.
 
     ARPACK (`eigsh`, which="SA") is single-vector Lanczos: from one start
     vector it sees one direction of each eigenspace, so a copy of a
     degenerate level is found only through rounding and may be missed.  The
     returned vectors are therefore put through a Rayleigh-Ritz step, which
     makes them orthonormal even inside a degenerate level, and one more
-    ARPACK run on H + lift Q Q^H finds the lowest level outside the span of
+    ARPACK run on H + lift Q Q^T finds the lowest level outside the span of
     the found states Q.  If that level lies below the highest found one, its
     state was missed: it joins the basis and the check repeats.  The start
     vectors come from a fixed random stream (a parity-even one such as ones
@@ -468,19 +504,17 @@ def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.nd
     rng = np.random.default_rng(0)
 
     def apply_columns(v):
-        return h._apply_amps(v.T.reshape(-1, *grid.shape)).reshape(v.shape[1], n).T
+        return h._apply_amps(v.T.reshape(-1, *grid.shape)).real.reshape(v.shape[1], n).T
 
     def lowest(k, found, lift, tol=0.0):
-        found_h = found.conj()
-
         def matvec(v):
             v = v.ravel()
-            out = h._apply_amps(v.reshape(grid.shape)).ravel()
+            out = h._apply_amps(v.reshape(grid.shape)).real.ravel()
             # einsum, not BLAS: numpy's BLAS threads spinning between ARPACK's
             # calls into scipy's own BLAS made a solve up to 100x slower
-            return out + lift * np.einsum("ij,j->i", found, np.einsum("ij,i->j", found_h, v))
+            return out + lift * np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, v))
 
-        operator = LinearOperator((n, n), matvec=matvec, dtype=complex)
+        operator = LinearOperator((n, n), matvec=matvec, dtype=float)
         try:
             return eigsh(operator, k=k, which="SA", v0=rng.standard_normal(n), tol=tol)
         except ArpackNoConvergence as exc:
@@ -488,7 +522,7 @@ def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.nd
 
     def rayleigh_ritz(basis):
         q = np.linalg.qr(basis)[0]
-        theta, w = np.linalg.eigh(q.conj().T @ apply_columns(q))
+        theta, w = np.linalg.eigh(q.T @ apply_columns(q))
         return theta[:n_levels], (q @ w)[:, :n_levels]
 
     theta, q = rayleigh_ritz(lowest(n_levels, np.zeros((n, 0)), 0.0)[1])

@@ -132,7 +132,9 @@ class OperatorSum(LinearOperator):
         first, *rest = self.parts
         out = first._apply_amps(amps)
         for p in rest:
-            out += p._apply_amps(amps)
+            term = p._apply_amps(amps)
+            # on a real input a real part gives a real sum, which a complex term widens
+            out = np.add(out, term, out=out if np.can_cast(term.dtype, out.dtype) else None)
         return out
 
 

@@ -563,6 +563,24 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
         assert manifest["fft_workers"] == (1 if command == "evolve" else 2)
     else:
         assert "steps_per_second" not in manifest and "fft_workers" not in manifest
+    drift_fields = {"evolve": ("max_norm_drift", "relative_energy_drift"),
+                    "diffract": ("norm_drift",)}.get(command, ())
+    for field in ("max_norm_drift", "relative_energy_drift", "norm_drift"):
+        assert (field in manifest) == (field in drift_fields)
+    if command == "evolve":
+        # the drifts of the written trajectory, whose 17-digit floats round-trip
+        header, rows = read_csv(Path(manifest["outputs"][0]))
+        norm, energy = (np.array([float(r[header.index(name)]) for r in rows])
+                        for name in ("norm", "energy"))
+        assert manifest["max_norm_drift"] == np.max(np.abs(norm - 1.0))
+        assert manifest["relative_energy_drift"] == (np.max(np.abs(energy - energy[0]))
+                                                     / abs(energy[0]))
+        assert manifest["max_norm_drift"] < 1e-12
+        assert manifest["relative_energy_drift"] < 1e-6
+    elif command == "diffract":
+        summary = json.loads(Path(manifest["outputs"][1]).read_text())
+        assert manifest["norm_drift"] == abs(summary["final_norm"] - 1.0)
+        assert manifest["norm_drift"] < 1e-12
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == scipy.__version__
@@ -576,6 +594,21 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
         assert sum(groups.values()) <= phases["compute"]
     else:
         assert "group_seconds" not in manifest
+
+
+def test_manifest_energy_drift_is_null_from_zero_energy(tmp_path):
+    # a free packet much wider than the box is flat to roundoff, so E(0) is exactly 0
+    config = write_config(tmp_path, "flat.json", {
+        "name": "flat", "grid": {"dim": 1, "n": 64, "length": 10.0, "origin": -5.0},
+        "potential": {"kind": "free"},
+        "initial": {"kind": "gaussian", "x0": 0.0, "p0": 0.0, "sigma": 1e10},
+        "dt": 1e-3, "steps": 10})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="leaves the box"):
+        assert main(["evolve", "--config", config, "--out", str(out)]) == 0
+    manifest = json.loads((out / "evolve_manifest.json").read_text())
+    assert manifest["relative_energy_drift"] is None
+    assert manifest["max_norm_drift"] < 1e-12
 
 
 # the config change of each case: a tiny unit, or a huge unit or potential coefficient

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 
 from spectralqm import (
     DiagonalReal,
+    OperatorSum,
     ScaledIdentity,
     Trajectory,
     evolution_operator,
@@ -19,6 +20,7 @@ from spectralqm import (
     hamiltonian,
     inner,
     make_grid,
+    momentum_op,
     position_op,
     spectrum,
     split_step,
@@ -623,7 +625,8 @@ def test_spectrum_recovers_a_missed_degenerate_level(monkeypatch):
     import scipy.sparse.linalg as ssl
 
     op = _isotropic_well(16)
-    full_vals, full_vecs = sla.eigh(to_dense(op).matrix)
+    # H is real symmetric, so the matrix-free route runs in real arithmetic
+    full_vals, full_vecs = sla.eigh(to_dense(op).matrix.real)
     real_eigsh = ssl.eigsh
     calls = []
 
@@ -643,6 +646,35 @@ def test_spectrum_recovers_a_missed_degenerate_level(monkeypatch):
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full_vals[:6])) <= 1e-12
     gram = np.array([[inner(a, b) for _, b in pairs] for _, a in pairs])
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
+    assert all(not state.amps.imag.any() for _, state in pairs)
+
+
+def _well_plus_momentum(grid):
+    # H + 0.3 p: complex Hermitian, so a real state maps to a complex one
+    return OperatorSum((hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes)),
+                        momentum_op(grid, 0, hbar=0.3)))
+
+
+def test_spectrum_of_a_complex_operator_takes_the_dense_route():
+    # 4 of 256 levels is below N/32, yet the probe sends the operator to to_dense
+    op = _well_plus_momentum(make_grid(1, 256, 20.0, -10.0))
+    full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
+    pairs = spectrum(op, 4)
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-12
+
+
+def test_spectrum_refuses_a_complex_operator_above_the_dense_limit():
+    op = _well_plus_momentum(make_grid(2, 128, 12.0, -6.0))
+    with pytest.raises(ValueError, match="maps real states to complex ones") as caught:
+        spectrum(op, 6)
+    assert "\n" not in str(caught.value)
+
+
+def test_spectrum_real_route_takes_any_order_of_parts():
+    # a real part first leaves a real partial sum, which the complex kinetic term widens
+    op = _isotropic_well(16)
+    reversed_op = OperatorSum(op.parts[::-1])
+    assert [e for e, _ in spectrum(reversed_op, 6)] == [e for e, _ in spectrum(op, 6)]
 
 
 def test_spectrum_solver_follows_the_share_of_levels(monkeypatch):
