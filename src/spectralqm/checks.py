@@ -42,6 +42,7 @@ from .operators import (
 from .scenarios import _check_numbers
 from .evolution import (
     Trajectory,
+    _single_blas_thread,
     evolution_operator,
     extract_generator,
     split_step,
@@ -791,17 +792,18 @@ def run_all(config: VerifyConfig | None = None,
     checks is reported as failed, under the check's own name and tag, with
     residual inf, tolerance 0 and an `error:` detail.  Reports come back
     sorted by name.  A given `group_seconds` dict receives each group's wall
-    time, keyed by the group's name (`harmonic`, ..., `evolution`).
+    time, keyed by the group's name (`harmonic`, ..., `evolution`).  BLAS runs on one thread.
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
-    for group, names in _SUITE:
-        start = time.perf_counter()
-        try:
-            reports.extend(group(config))
-        except Exception as exc:  # noqa: BLE001 - the suite must not abort
-            reports.extend(CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
-                           for name, tag in names)
-        if group_seconds is not None:
-            group_seconds[group.__name__[1:].removesuffix("_group")] = time.perf_counter() - start
+    with _single_blas_thread():
+        for group, names in _SUITE:
+            start = time.perf_counter()
+            try:
+                reports.extend(group(config))
+            except Exception as exc:  # noqa: BLE001 - the suite must not abort
+                reports.extend(CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
+                               for name, tag in names)
+            if group_seconds is not None:
+                group_seconds[group.__name__[1:].removesuffix("_group")] = time.perf_counter() - start
     return sorted(reports, key=lambda r: r.name)

@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .checks import VerifyConfig, _central_difference, run_all
-from .evolution import Trajectory, _fft_workers
+from .evolution import Trajectory, _blas_pools, _fft_workers
 from .grids import make_grid
 from .operators import hamiltonian
 from .scenarios import ScenarioConfig, potential_samples, run, run_diffraction
@@ -279,6 +279,7 @@ def _run_command(args) -> int:
                 "phase_seconds": phases, "outputs": [str(path) for path in outputs],
                 "python_version": platform.python_version(), "numpy_version": np.__version__,
                 "scipy_version": scipy.__version__, "cpu_count": os.cpu_count(),
+                "blas_threads": [get() for get, _ in _blas_pools()],
                 **command.fields(config, result, phases)}
     write_json(out_dir / f"{args.command}_manifest.json", manifest)
     return code

@@ -4,33 +4,24 @@ with its generator, and bound-state spectra.
 The split-step integrator uses Strang splitting (exact potential half-kick,
 exact kinetic drift in k-space, half-kick), so the norm is conserved to
 roundoff and the global error is O(dt^2).  Between kicks it holds the state
-in a mixed representation, Fourier transformed along every axis but axis 0:
-a drift is one FFT pair along axis 0, and a kick transforms back only the
-slab of axis-0 rows where the potential is nonzero.  A 2-D run whose
-potential and initial state are exactly unchanged by the index map
-j -> -j mod n along axis 1 (n even) is held in that even sector: only the
-columns 0..n/2, transformed along axis 1 by a DCT-I.  Callers still see
-full-grid position-space states: records, the final amplitudes, and the rows
-that the `on_drift` hook reads through its `row(i)` callable.  Its records
-are reduced a block of states at a time.  The evolution operator is a plain
-unitary matrix, a time-ordered product of slices exp(-i H dt / hbar), each
-through a Hermitian eigendecomposition, which keeps it unitary to roundoff.
-Its slices are also taken a block at a time: one stacked `eigh` decomposes
-the block's distinct Hamiltonians, and a slice whose H is bit-for-bit equal
-to the one before it reuses that slice's exponential.
-Spectra of grid operators are matrix-free up to N/32 levels.  A Hamiltonian
-`hamiltonian(grid, U)` is a real symmetric matrix (real U, and a kinetic
-symbol even in k), so ARPACK's symmetric Lanczos driver solves it in real
-arithmetic, applying it through its own `_apply_amps`; a Rayleigh-Ritz step
-plus a deflated ARPACK run make the states orthonormal and check that no copy
-of a degenerate level was missed.  One probe apply of a real random state
-admits an operator to that route; a complex Hermitian one is solved densely.
+in a mixed representation, and a mirror-even 2-D run in its even sector
+(see `_strang_propagate`); callers still see full-grid position-space
+states.  The evolution operator is a plain unitary matrix, a time-ordered
+product of slices exp(-i H dt / hbar), each through a Hermitian
+eigendecomposition (one stacked `eigh` per block of slices), which keeps it
+unitary to roundoff.  Spectra of grid operators are matrix-free up to N/32
+levels: a real symmetric H such as `hamiltonian(grid, U)` goes through
+ARPACK's symmetric Lanczos driver in real arithmetic.
 """
 
 from __future__ import annotations
 
+import ctypes
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -113,6 +104,43 @@ def _fft_workers(dim: int) -> int:
     # 1-D ones are too small to bother.  The kick's slab transforms always run
     # on one (see `_strang_propagate`).
     return 2 if dim == 2 else 1
+
+
+@cache
+def _blas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS pool in numpy's and scipy's wheels.
+
+    A pool is an `*openblas*` library in `numpy.libs` or `scipy.libs` (this module's imports
+    load both) exporting `scipy_openblas_{get,set}_num_threads{64_,}`; other BLAS builds have none.
+    """
+    pools = []
+    for libs in (Path(np.__file__).parents[1] / "numpy.libs",
+                 Path(sla.__file__).parents[2] / "scipy.libs"):
+        for path, suffix in itertools.product(sorted(libs.glob("*openblas*")), ("64_", "")):
+            lib = ctypes.CDLL(str(path))
+            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
+                        for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+    return tuple(pools)
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the body with every pool of `_blas_pools` on one thread, restoring each count after.
+
+    The limit is process-wide while the scope is open: BLAS calls from other threads get it too.
+    """
+    saved = [(put, get()) for get, put in _blas_pools()]
+    try:
+        for put, _ in saved:
+            put(1)
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
 
 
 def _weighted_sums(states, weights):
@@ -213,8 +241,7 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
         recorded = on_record is not None and step % record_every == 0
         if step < steps and not recorded:
             # the slab's rows are contiguous, so both transforms can run in place;
-            # one worker, because the two-slit slab (42 x 512) took a median
-            # 0.39 ms per kick on one worker against 1.04 ms on two (2-core host)
+            # one worker, because a slab is too small to gain from two
             kicked = across(inverse, amps[slab], workers=1)
             kicked *= full_kick
             amps[slab] = across(forward, kicked, workers=1)
@@ -411,25 +438,20 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     A real symmetric grid LinearOperator such as `hamiltonian(...)` is solved
     matrix-free, in real arithmetic, by ARPACK's symmetric Lanczos driver
     through its own `_apply_amps` (see `_lowest_matrix_free`) while n_levels
-    stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points.  The two
-    solvers were measured to cost the same at N/32 to N/27 levels on 2-D
-    harmonic wells of 1024 to 4096 points: ARPACK's work grows with the
-    square of its Krylov basis of 2 n_levels + 1 states, the subset `eigh`'s
-    hardly with n_levels.  From that share on, or when the Krylov basis would
-    hold more entries than the largest dense matrix, the matrix is built with
-    `to_dense` and solved by the subset `eigh`; above the dense size limit
-    such a request is refused.
+    stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points: ARPACK's
+    work grows with the square of its Krylov basis of 2 n_levels + 1 states,
+    the subset `eigh`'s hardly with n_levels.  From that share on, or when the
+    Krylov basis would hold more entries than the largest dense matrix, the
+    matrix is built with `to_dense` and solved by the subset `eigh`; above the
+    dense size limit such a request is refused.
 
-    One probe apply decides whether a grid operator is real: a real random
-    state must map to a result whose imaginary part is at most REALNESS_TOL
-    of its largest magnitude.  A complex Hermitian operator such as H + c p
-    fails it, and takes the dense route at any n_levels; above the dense size
-    limit it is refused.  On fine 1-D grids ARPACK takes thousands of steps
-    (the kinetic term spans a wide range against the level spacing): 4 levels
-    of a 1024-point well over 20 length units take about 6800 applies and
-    0.69-0.84 s, against 0.40-0.44 s for the dense path (2-core host).  No
-    workload asks for such spectra.  A DenseOperator already holds its matrix
-    and goes through the Hermiticity pre-check and the subset `eigh`.
+    A grid operator that fails one probe apply (`_maps_real_to_real`), a
+    complex Hermitian one such as H + c p, takes the dense route at any
+    n_levels; above the dense size limit it is refused.  On fine 1-D grids
+    ARPACK takes thousands of steps (the kinetic term spans a wide range
+    against the level spacing), and the dense path is faster.  Only the
+    matrix-free solve runs its BLAS on one thread.  A DenseOperator holds
+    its matrix and goes through the Hermiticity pre-check and subset `eigh`.
 
     Eigenstates are orthonormal under the dx^dim measure and returned with
     energies ascending.
@@ -462,7 +484,8 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
             raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
         evals, vecs = sla.eigh(h.matrix, subset_by_index=[0, n_levels - 1])
     else:
-        evals, vecs = _lowest_matrix_free(h, grid, n_levels)
+        with _single_blas_thread():
+            evals, vecs = _lowest_matrix_free(h, grid, n_levels)
     states = (vecs.T * (1.0 / np.sqrt(grid.cell_volume))).reshape(n_levels, *grid.shape)
     return [(float(e), Wavefunction(grid, a.astype(complex))) for e, a in zip(evals, states)]
 
@@ -482,9 +505,8 @@ def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.nd
 
     Everything runs in real arithmetic: `eigsh` gets a float operator whose
     product is the real part of `_apply_amps` (`spectrum` has probed that the
-    imaginary part is roundoff), so it takes ARPACK's symmetric Lanczos driver;
-    a complex operator would take the general complex Arnoldi driver, which
-    took three times the driver time on a 64x32 well.  The states are real.
+    imaginary part is roundoff), so it takes ARPACK's symmetric Lanczos
+    driver, and the states are real.
 
     ARPACK (`eigsh`, which="SA") is single-vector Lanczos: from one start
     vector it sees one direction of each eigenspace, so a copy of a
@@ -510,8 +532,8 @@ def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.nd
         def matvec(v):
             v = v.ravel()
             out = h._apply_amps(v.reshape(grid.shape)).real.ravel()
-            # einsum, not BLAS: numpy's BLAS threads spinning between ARPACK's
-            # calls into scipy's own BLAS made a solve up to 100x slower
+            # einsum, not `@`: its sums round the same on every BLAS build and
+            # thread count (`@` moves the levels' last digits)
             return out + lift * np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, v))
 
         operator = LinearOperator((n, n), matvec=matvec, dtype=float)

@@ -28,6 +28,7 @@ from spectralqm import (
 )
 from spectralqm import checks
 from spectralqm.checks import (
+    CheckReport,
     check_evolution_operator,
     check_gauge_shift,
     check_superposition,
@@ -625,6 +626,30 @@ def test_run_all_runs_seven_split_steps(monkeypatch):
     assert all(r.passed for r in reports.values())
     for name in ("normalization", "ehrenfest-velocity-harmonic", "ehrenfest-force-harmonic"):
         assert "records=1001" in reports[name].details
+
+
+def test_run_all_runs_its_groups_on_one_blas_thread(monkeypatch, blas_threads):
+    before, seen = blas_threads(), []
+
+    def spy_group(config):
+        seen.append(blas_threads())
+        return [CheckReport("spy", "spy-tag", 0.0, 1.0, True)]
+
+    monkeypatch.setattr(checks, "_SUITE", ((spy_group, [("spy", "spy-tag")]),) * 2)
+    assert [r.name for r in run_all()] == ["spy", "spy"]
+    assert seen == [[1] * len(before)] * 2
+    assert blas_threads() == before
+
+
+def test_run_all_restores_the_blas_threads_after_a_group_raises(monkeypatch, blas_threads):
+    def raising_group(config):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(checks, "_SUITE", ((raising_group, [("spy", "spy-tag")]),))
+    before = blas_threads()
+    (report,) = run_all()
+    assert not report.passed and report.details == "error: injected fault"
+    assert blas_threads() == before
 
 
 def test_run_all_deterministic():

@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import spectralqm
-from spectralqm import cli
+from spectralqm import cli, evolution
 from spectralqm.cli import main
 
 
@@ -585,6 +585,9 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == scipy.__version__
     assert manifest["cpu_count"] == os.cpu_count()
+    # read after the run, so verify's and spectrum's one-thread limit is lifted
+    assert manifest["blas_threads"] == [get() for get, _ in evolution._blas_pools()]
+    assert all(threads >= 1 for threads in manifest["blas_threads"])
     if command == "verify":
         # one wall time per check group, all inside the compute phase
         groups = manifest["group_seconds"]
@@ -663,6 +666,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_blas_pools_unsearched():
+    # the OpenBLAS pools are found on first use, so the import pays nothing for them
+    env = dict(os.environ, PYTHONPATH=str(Path(spectralqm.__file__).parents[1]))
+    code = ("import spectralqm.cli; from spectralqm import evolution; "
+            "print(evolution._blas_pools.cache_info().misses)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "0"
 
 
 def test_run_diffraction_leaves_scipy_signal_unloaded(tmp_path):

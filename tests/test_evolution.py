@@ -726,3 +726,69 @@ def test_spectrum_rejects_too_many_levels():
         spectrum(skew, 0)
     with pytest.raises(ValueError, match="Hermitian"):
         spectrum(skew, 1)
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread limit
+# ---------------------------------------------------------------------------
+
+
+def test_single_blas_thread_limits_and_restores_every_pool(blas_threads):
+    before = blas_threads()
+    with evolution._single_blas_thread():
+        assert blas_threads() == [1] * len(before)
+    assert blas_threads() == before
+    with pytest.raises(RuntimeError, match="injected"):
+        with evolution._single_blas_thread():
+            raise RuntimeError("injected")
+    assert blas_threads() == before
+
+
+def test_matrix_free_spectrum_runs_eigsh_on_one_blas_thread(monkeypatch, blas_threads):
+    import scipy.sparse.linalg as ssl
+
+    real_eigsh, seen = ssl.eigsh, []
+
+    def spying_eigsh(*args, **kwargs):
+        seen.append(blas_threads())
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "eigsh", spying_eigsh)
+    before = blas_threads()
+    spectrum(_isotropic_well(16), 6)
+    assert seen and all(counts == [1] * len(before) for counts in seen)
+    assert blas_threads() == before
+
+
+def test_spectrum_restores_the_blas_threads_when_it_does_not_converge(monkeypatch, blas_threads):
+    import scipy.sparse.linalg as ssl
+
+    def failing_eigsh(*args, **kwargs):
+        raise ssl.ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(ssl, "eigsh", failing_eigsh)
+    before = blas_threads()
+    with pytest.raises(ValueError, match="spectrum did not converge"):
+        spectrum(_isotropic_well(16), 6)
+    assert blas_threads() == before
+
+
+def test_dense_spectrum_and_split_step_keep_the_default_blas_threads(monkeypatch, blas_threads,
+                                                                    harmonic_setup):
+    before, seen = blas_threads(), []
+
+    def spying(real):
+        def spy(*args, **kwargs):
+            seen.append(blas_threads())
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(evolution.sla, "eigh", spying(evolution.sla.eigh))
+    monkeypatch.setattr(evolution, "_weighted_sums", spying(evolution._weighted_sums))
+    grid = make_grid(1, 128, 20.0, -10.0)
+    spectrum(to_dense(hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)), 5)
+    assert len(seen) == 1
+    grid, u, force = harmonic_setup
+    split_step(gaussian_packet(grid, 1.0, 0.0, 1.0), u, 1.0, 1.0, 0.01, 20, record_every=5,
+               force_samples=force)
+    assert len(seen) > 1 and all(counts == before for counts in seen)
