@@ -27,7 +27,6 @@ from .operators import (
     DiagonalReal,
     LinearOperator,
     OperatorSum,
-    ScaledIdentity,
     SpectralReal,
     apply,
     expectation,
@@ -69,5 +68,4 @@ from .scenarios import (
     reference_two_slit_config,
     run,
     run_diffraction,
-    single_slit_config,
 )

@@ -64,7 +64,6 @@ __all__ = [
     "check_superposition",
     "check_gauge_shift",
     "check_evolution_operator",
-    "field_energy_spectrum",
     "random_smooth_fields",
     "run_all",
 ]
@@ -376,25 +375,6 @@ class FieldConfiguration:
             raise ValueError(f"field arrays must have shape {expected}")
 
 
-def _component_spectra(fields: FieldConfiguration) -> np.ndarray:
-    """|component(k)|^2 for all six components, via the library transform."""
-    grid = fields.grid
-    spectra = []
-    for comp in list(fields.e) + list(fields.h):
-        phi = to_momentum(Wavefunction(grid, comp.astype(complex)))
-        spectra.append(np.abs(phi.amps) ** 2)
-    return np.array(spectra)
-
-
-def field_energy_spectrum(fields: FieldConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """Energy carried per harmonic: (|E(k)|^2 + |H(k)|^2) / 8 pi per k bin."""
-    spectra = _component_spectra(fields)
-    k = fields.grid.axis_wavenumbers(0)
-    per_harmonic = np.sum(spectra, axis=0) / (8.0 * np.pi)
-    order = np.argsort(k)
-    return k[order], per_harmonic[order]
-
-
 def check_field_energy_parseval(
     fields: FieldConfiguration, tolerance: float = 1e-12
 ) -> CheckReport:
@@ -402,7 +382,9 @@ def check_field_energy_parseval(
     grid = fields.grid
     dx = grid.cell_volume
     w_real = float(np.sum(fields.e**2) + np.sum(fields.h**2)) * dx / (8.0 * np.pi)
-    spectra = _component_spectra(fields)
+    # |component(k)|^2 of all six components, via the library transform
+    spectra = [np.abs(to_momentum(Wavefunction(grid, comp.astype(complex))).amps) ** 2
+               for comp in (*fields.e, *fields.h)]
     w_k = float(np.sum(spectra)) * grid.k_cell_volume / (8.0 * np.pi)
     residual = abs(w_real - w_k) / max(w_real, 1e-30)
     return _report(
@@ -515,15 +497,14 @@ EVOLUTION_SLICES = 64
 EVOLUTION_DRIVE = 0.1
 
 
-def check_evolution_operator(n: int = 32, tolerance_scale: float = 1.0) -> list[CheckReport]:
+def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     """Two-time evolution operator laws and generator extraction.
 
     Emits separate reports for unitarity, composition, invertibility,
     generator recovery (constant and sinusoidally driven), and generator
-    Hermiticity.  Each report's pinned tolerance is multiplied by
-    `tolerance_scale`.
+    Hermiticity.
     """
-    pinned = {
+    tol = {
         "evolution-unitarity": 1e-9,
         "evolution-composition": 1e-10,
         "evolution-inverse": 1e-9,
@@ -531,7 +512,6 @@ def check_evolution_operator(n: int = 32, tolerance_scale: float = 1.0) -> list[
         "generator-driven": 1e-4,
         "generator-hermiticity": 1e-6,
     }
-    tol = {name: bound * tolerance_scale for name, bound in pinned.items()}
     grid = make_grid(1, n, EVOLUTION_LENGTH, -EVOLUTION_LENGTH / 2.0)
     x = grid.axis_points(0)
     h0 = to_dense(hamiltonian(grid, 0.5 * x**2)).matrix
@@ -642,10 +622,6 @@ WELL_RECORD_EVERY = 10
 COMMUTANT_SIZES = (8, 16)
 
 
-def _scaled(tol: float, config: VerifyConfig) -> float:
-    return tol * config.tolerance_scale
-
-
 def _well_grid() -> Grid:
     return make_grid(1, WELL_N, WELL_LENGTH, -WELL_LENGTH / 2.0)
 
@@ -657,9 +633,8 @@ def _harmonic_setup():
     return grid, 0.5 * x**2, -x, gaussian_packet(grid, 1.0, 0.0, np.sqrt(0.5))
 
 
-def _ehrenfest_reports(traj: Trajectory, well: str, tol: float,
-                       config: VerifyConfig) -> list[CheckReport]:
-    return [dataclasses.replace(check(traj, _scaled(tol, config)), name=f"ehrenfest-{law}-{well}")
+def _ehrenfest_reports(traj: Trajectory, well: str, tol: float) -> list[CheckReport]:
+    return [dataclasses.replace(check(traj, tol), name=f"ehrenfest-{law}-{well}")
             for check, law in ((check_ehrenfest_velocity, "velocity"),
                                (check_ehrenfest_force, "force"))]
 
@@ -669,8 +644,7 @@ def _harmonic_group(config: VerifyConfig) -> list[CheckReport]:
     _, u, force, psi0 = _harmonic_setup()
     traj = split_step(psi0, u, 1.0, 1.0, WELL_DT, 10000, WELL_RECORD_EVERY, force_samples=[force],
                       store_states=False)
-    return [check_normalization(traj, _scaled(1e-10, config)),
-            *_ehrenfest_reports(traj, "harmonic", 1e-5, config)]
+    return [check_normalization(traj, 1e-10), *_ehrenfest_reports(traj, "harmonic", 1e-5)]
 
 
 def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
@@ -680,15 +654,14 @@ def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
     psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0)
     traj = split_step(psi0, 0.25 * x**4, 1.0, 1.0, WELL_DT, 6290, WELL_RECORD_EVERY,
                       force_samples=[-(x**3)], store_states=False)
-    return _ehrenfest_reports(traj, "quartic", 1e-4, config)
+    return _ehrenfest_reports(traj, "quartic", 1e-4)
 
 
 def _parseval_group(config: VerifyConfig) -> list[CheckReport]:
     """Momentum route agreement, worst over random states."""
     grid = _well_grid()
     rng = np.random.default_rng(config.seed)
-    reports = [check_parseval_momentum(random_state(grid, rng), _scaled(1e-10, config))
-               for _ in range(100)]
+    reports = [check_parseval_momentum(random_state(grid, rng), 1e-10) for _ in range(100)]
     worst = max(reports, key=lambda r: r.residual)
     return [dataclasses.replace(worst, details="max over 100 random states")]
 
@@ -700,21 +673,20 @@ def _commutator_group(config: VerifyConfig) -> list[CheckReport]:
     states = [gaussian_packet(grid, c, p, 1.0, 1.0, 1.0)
               for c, p in zip(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 5))]
     return [check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states, force_samples=-x,
-                                    tolerance=_scaled(1e-6, config))]
+                                    tolerance=1e-6)]
 
 
 def _commutant_group(config: VerifyConfig) -> list[CheckReport]:
     """Triviality of the {x, p} commutant at each size."""
     return [
-        dataclasses.replace(check_commutant_uniqueness(size, tolerance=_scaled(1e-8, config)),
+        dataclasses.replace(check_commutant_uniqueness(size, tolerance=1e-8),
                             name=f"commutant-uniqueness-n{size}")
         for size in COMMUTANT_SIZES
     ]
 
 
 def _antihermitian_group(config: VerifyConfig) -> list[CheckReport]:
-    return [check_antihermitian_exponential(16, 100, seed=config.seed,
-                                            tolerance=_scaled(1e-10, config))]
+    return [check_antihermitian_exponential(16, 100, seed=config.seed, tolerance=1e-10)]
 
 
 def _field_group(config: VerifyConfig) -> list[CheckReport]:
@@ -722,7 +694,7 @@ def _field_group(config: VerifyConfig) -> list[CheckReport]:
     grid = make_grid(1, 256, 2.0 * np.pi, 0.0)
     rng = np.random.default_rng(config.seed + 1)
     worst = max(
-        check_field_energy_parseval(random_smooth_fields(grid, rng), _scaled(1e-12, config)).residual
+        check_field_energy_parseval(random_smooth_fields(grid, rng), 1e-12).residual
         for _ in range(50)
     )
     # analytic single-harmonic case: total energy must be exactly 1/4
@@ -731,9 +703,9 @@ def _field_group(config: VerifyConfig) -> list[CheckReport]:
     e[1] = h[2] = np.sin(grid.axis_points(0))
     w_real = float(np.sum(e**2) + np.sum(h**2)) * grid.cell_volume / (8.0 * np.pi)
     return [
-        _report("field-energy-parseval", "field-energy", worst, _scaled(1e-12, config),
+        _report("field-energy-parseval", "field-energy", worst, 1e-12,
                 details="max over 50 random smooth configurations"),
-        _report("field-energy-sine", "field-energy", abs(w_real - 0.25), _scaled(1e-10, config),
+        _report("field-energy-sine", "field-energy", abs(w_real - 0.25), 1e-10,
                 details=f"w_real={w_real:.15e} expected=0.25"),
     ]
 
@@ -743,18 +715,18 @@ def _superposition_group(config: VerifyConfig) -> list[CheckReport]:
     grid, u, _, _ = _harmonic_setup()
     psi1 = gaussian_packet(grid, -1.5, 0.5, 1.0)
     psi2 = gaussian_packet(grid, 1.5, -0.5, 1.0)
-    return [check_superposition(u, psi1, psi2, WELL_DT, 1000, tolerance=_scaled(1e-10, config))]
+    return [check_superposition(u, psi1, psi2, WELL_DT, 1000, tolerance=1e-10)]
 
 
 def _gauge_group(config: VerifyConfig) -> list[CheckReport]:
     """A constant shift of the potential."""
     _, u, force, psi0 = _harmonic_setup()
     return [check_gauge_shift(u, psi0, WELL_DT, 2000, WELL_RECORD_EVERY, force_samples=[force],
-                              tolerance=_scaled(1e-10, config))]
+                              tolerance=1e-10)]
 
 
 def _evolution_group(config: VerifyConfig) -> list[CheckReport]:
-    return check_evolution_operator(tolerance_scale=config.tolerance_scale)
+    return check_evolution_operator()
 
 
 def _ehrenfest_names(well: str) -> list[tuple[str, str]]:
@@ -790,9 +762,11 @@ def run_all(config: VerifyConfig | None = None,
 
     A group of checks that raises does not abort the suite: each of its
     checks is reported as failed, under the check's own name and tag, with
-    residual inf, tolerance 0 and an `error:` detail.  Reports come back
-    sorted by name.  A given `group_seconds` dict receives each group's wall
-    time, keyed by the group's name (`harmonic`, ..., `evolution`).  BLAS runs on one thread.
+    residual inf, tolerance 0 and an `error:` detail.  Each report's pinned
+    tolerance is multiplied by `config.tolerance_scale` here, once, after its
+    group returns.  Reports come back sorted by name.  A given `group_seconds`
+    dict receives each group's wall time, keyed by the group's name
+    (`harmonic`, ..., `evolution`).  BLAS runs on one thread.
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
@@ -800,10 +774,12 @@ def run_all(config: VerifyConfig | None = None,
         for group, names in _SUITE:
             start = time.perf_counter()
             try:
-                reports.extend(group(config))
+                group_reports = group(config)
             except Exception as exc:  # noqa: BLE001 - the suite must not abort
-                reports.extend(CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
-                               for name, tag in names)
+                group_reports = [CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
+                                 for name, tag in names]
+            reports.extend(_report(r.name, r.tag, r.residual, r.tolerance * config.tolerance_scale,
+                                   r.details) for r in group_reports)
             if group_seconds is not None:
                 group_seconds[group.__name__[1:].removesuffix("_group")] = time.perf_counter() - start
     return sorted(reports, key=lambda r: r.name)

@@ -457,8 +457,6 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     energies ascending.
     """
     grid = h.grid
-    if grid is None:
-        raise ValueError("spectrum needs an operator with a grid reference")
     n = grid.size
     if not 1 <= n_levels <= n:
         raise ValueError(f"n_levels must be in [1, {n}], got {n_levels}")

@@ -21,7 +21,6 @@ __all__ = [
     "LinearOperator",
     "DiagonalReal",
     "SpectralReal",
-    "ScaledIdentity",
     "OperatorSum",
     "DenseOperator",
     "position_op",
@@ -44,8 +43,7 @@ IMAG_RESIDUAL_TOL = 1e-10
 class LinearOperator:
     """Base class; subclasses implement `_apply_amps` on raw amplitude arrays.
 
-    Subclasses carry `label` and `grid` fields (grid may be None for
-    grid-free operators such as scaled identities).
+    Subclasses carry `label` and `grid` fields; every operator acts on one grid.
     """
 
     def _apply_amps(self, amps: np.ndarray) -> np.ndarray:
@@ -53,7 +51,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def _check_grid(self, grid: Grid):
-        if self.grid is not None and grid != self.grid:
+        if grid != self.grid:
             raise ValueError(f"{self.label}: operator grid does not match state grid")
 
 
@@ -99,20 +97,8 @@ class SpectralReal(LinearOperator):
 
 
 @dataclass(frozen=True)
-class ScaledIdentity(LinearOperator):
-    """c * I; Hermitian iff c is real.  Grid-free, applies to any state."""
-
-    value: complex
-    label: str = "identity"
-    grid: Grid | None = None
-
-    def _apply_amps(self, amps):
-        return self.value * amps
-
-
-@dataclass(frozen=True)
 class OperatorSum(LinearOperator):
-    """Sum of operators; Hermitian iff every part is."""
+    """Sum of operators on one grid; Hermitian iff every part is."""
 
     parts: tuple[LinearOperator, ...]
     label: str = "sum"
@@ -120,13 +106,12 @@ class OperatorSum(LinearOperator):
     def __post_init__(self):
         if not self.parts:
             raise ValueError("OperatorSum needs at least one part")
+        if any(p.grid != self.grid for p in self.parts):
+            raise ValueError(f"{self.label}: the parts live on different grids")
 
     @property
-    def grid(self):
-        for p in self.parts:
-            if p.grid is not None:
-                return p.grid
-        return None
+    def grid(self) -> Grid:
+        return self.parts[0].grid
 
     def _apply_amps(self, amps):
         first, *rest = self.parts
@@ -143,13 +128,13 @@ class DenseOperator:
     """Explicit matrix form on the flattened (C-order) grid basis."""
 
     matrix: np.ndarray
-    grid: Grid | None = None
+    grid: Grid
 
     def __post_init__(self):
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("dense operator matrix must be square")
-        if self.grid is not None and m.shape[0] != self.grid.size:
+        if m.shape[0] != self.grid.size:
             raise ValueError("dense matrix dimension must equal grid point count")
 
 
@@ -237,16 +222,12 @@ def expectation(op: LinearOperator, psi: Wavefunction) -> float:
     return value.real
 
 
-def to_dense(op: LinearOperator, grid: Grid | None = None) -> DenseOperator:
-    """Materialize the matrix M[:, j] = op(e_j) on the flattened grid basis.
+def to_dense(op: LinearOperator) -> DenseOperator:
+    """Materialize the matrix M[:, j] = op(e_j) on op's flattened grid basis.
 
     All N basis states go through one batched `_apply_amps` call.
     """
-    if grid is None:
-        grid = op.grid
-    if grid is None:
-        raise ValueError("to_dense needs a grid for a grid-free operator")
-    op._check_grid(grid)
+    grid = op.grid
     n_total = grid.size
     if n_total > DENSE_SIZE_LIMIT:
         raise ValueError(f"grid has {n_total} points, dense limit is {DENSE_SIZE_LIMIT}")

@@ -25,7 +25,6 @@ __all__ = [
     "run",
     "run_diffraction",
     "reference_two_slit_config",
-    "single_slit_config",
 ]
 
 POTENTIAL_KINDS = ("free", "harmonic", "quartic", "slit_wall")
@@ -89,7 +88,8 @@ class ScenarioConfig:
             raise ValueError(f"name must be a plain file stem, without a path separator, "
                              f"got {name!r}")
         _check_keys(self.grid, _GRID_KEYS, "grid", required=_GRID_KEYS)
-        if not isinstance(self.grid["dim"], int) or self.grid["dim"] not in (1, 2):
+        # a bool is an int to isinstance, so True would pass as dim 1
+        if type(self.grid["dim"]) is not int or self.grid["dim"] not in (1, 2):
             raise ValueError(f"grid.dim must be 1 or 2, got {self.grid['dim']!r}")
         _check_numbers(self.grid["n"], "grid.n", integer=True, positive=True)
         _check_numbers(self.grid["length"], "grid.length", positive=True)
@@ -106,7 +106,8 @@ class ScenarioConfig:
                             required={"wall", "detector"})
                 _check_numbers(list(value.values()), "potential.positions")
             elif key != "kind":
-                _check_numbers(value, f"potential.{key}")
+                # each coefficient is a single number: a list is checked as one item and refused
+                _check_numbers([value], f"potential.{key}")
         _check_keys(self.initial, _INITIAL_KEYS, "initial", required=_INITIAL_KEYS)
         if self.initial["kind"] != "gaussian":
             raise ValueError(f"unknown initial state kind {self.initial['kind']!r}")
@@ -437,10 +438,3 @@ def reference_two_slit_config(momentum_scale: float = 1.0) -> ScenarioConfig:
         record_every=3500,
         seed=0,
     )
-
-
-def single_slit_config() -> ScenarioConfig:
-    """Single centered slit: same geometry with slit_separation = 0."""
-    base = reference_two_slit_config()
-    potential = dict(base.potential, slit_separation=0.0)
-    return dataclasses.replace(base, name="single-slit", potential=potential)

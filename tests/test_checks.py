@@ -32,7 +32,6 @@ from spectralqm.checks import (
     check_evolution_operator,
     check_gauge_shift,
     check_superposition,
-    field_energy_spectrum,
     random_smooth_fields,
 )
 from spectralqm.operators import SpectralReal, kinetic_op, momentum_op as p_op
@@ -334,21 +333,6 @@ def test_random_smooth_fields_match_a_per_mode_sum(field_grid):
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
-def test_field_energy_spectrum_single_harmonic(field_grid):
-    x = field_grid.axis_points(0)
-    e = np.zeros((3, 256))
-    h = np.zeros((3, 256))
-    e[1] = np.sin(x)
-    h[2] = np.sin(x)
-    k, per_harmonic = field_energy_spectrum(FieldConfiguration(field_grid, e, h))
-    # all the energy sits in the k = +-1 bins, 1/8 each
-    for ki, wi in zip(k, per_harmonic):
-        if abs(abs(ki) - 1.0) < 1e-9:
-            assert wi == pytest.approx(0.125, abs=1e-12)
-        else:
-            assert wi < 1e-24
-
-
 def test_field_configuration_validates_shapes(field_grid):
     with pytest.raises(ValueError):
         FieldConfiguration(field_grid, np.zeros((2, 256)), np.zeros((3, 256)))
@@ -538,8 +522,11 @@ def test_evolution_operator_report_sees_its_fault(monkeypatch, name):
             assert reports[generator].passed, f"{generator}: {reports[generator].residual}"
 
 
-def test_evolution_operator_zero_tolerance_scale_fails_every_report():
-    reports = check_evolution_operator(tolerance_scale=0.0)
+def test_evolution_operator_zero_tolerance_scale_fails_every_report(monkeypatch):
+    # run_all is the one place a tolerance is scaled: run it on the evolution group alone
+    suite = [entry for entry in checks._SUITE if entry[0] is checks._evolution_group]
+    monkeypatch.setattr(checks, "_SUITE", tuple(suite))
+    reports = run_all(VerifyConfig(tolerance_scale=0.0))
     assert {r.name for r in reports} == EVOLUTION_REPORTS
     assert not any(r.passed for r in reports)
     assert all(r.tolerance == 0.0 for r in reports)
@@ -593,7 +580,9 @@ def test_run_all_default_passes(default_reports):
 
 def test_run_all_zero_tolerance_fails_everything():
     reports = run_all(VerifyConfig(tolerance_scale=0.0))
+    assert [(r.name, r.tag) for r in reports] == [(name, tag) for name, tag, _ in DEFAULT_REPORTS]
     assert all(not r.passed for r in reports)
+    assert all(r.tolerance == 0.0 for r in reports)
 
 
 def test_run_all_failed_groups_keep_their_report_names(monkeypatch):

@@ -655,6 +655,43 @@ def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
     assert not out.exists()
 
 
+# a list in place of a potential coefficient, and a bool grid.dim (isinstance counts a
+# bool as an int), are refused before any work
+@pytest.mark.parametrize("command, key", [
+    *[(command, key) for command in ("evolve", "spectrum") for key in ("a", "omega", "dim")],
+    *[("diffract", key)
+      for key in ("slit_width", "slit_separation", "barrier_height", "barrier_thickness")],
+])
+def test_list_coefficient_or_bool_dim_is_usage_error(tmp_path, capsys, harmonic_config_path,
+                                                     fast_slit_config_path, command, key):
+    path = fast_slit_config_path if command == "diffract" else harmonic_config_path
+    data = json.loads(Path(path).read_text())
+    if key == "a":
+        data["potential"] = {"kind": "quartic", "a": 1.0}
+    section = "grid" if key == "dim" else "potential"
+    data[section][key] = True if key == "dim" else [data[section][key]]
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, "bad.json", data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{section}.{key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "spectrum"])
+def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, harmonic_config_path,
+                                                   command):
+    # 2**48 float64 samples take 2 PiB, beyond any 64-bit user address space, so
+    # the first allocation fails at once rather than being granted lazily
+    data = dict(HARMONIC_CONFIG, grid=dict(HARMONIC_CONFIG["grid"], n=2**48))
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, "big.json", data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+    assert not out.exists()
+
+
 def test_usage_error_without_subcommand():
     assert main([]) == 2
 

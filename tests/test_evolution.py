@@ -9,9 +9,9 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from spectralqm import (
+    DenseOperator,
     DiagonalReal,
     OperatorSum,
-    ScaledIdentity,
     Trajectory,
     evolution_operator,
     expectation,
@@ -371,7 +371,7 @@ def test_dense_propagator_zero_time(dense_h):
 def test_dense_propagator_global_phase(dense_h):
     grid, _ = dense_h
     e0 = 1.7
-    h = to_dense(ScaledIdentity(e0), grid)
+    h = DenseOperator(e0 * np.eye(grid.size), grid)
     u = _constant_slice(h, 0.5)
     expected = np.exp(-1j * e0 * 0.5) * np.eye(grid.size)
     assert np.max(np.abs(u - expected)) < 1e-12
@@ -395,8 +395,6 @@ def test_dense_propagator_rejects_non_hermitian(dense_h):
     grid, h = dense_h
     bad = h.matrix.copy()
     bad[0, 1] += 1.0
-    from spectralqm import DenseOperator
-
     with pytest.raises(ValueError, match="Hermitian"):
         _constant_slice(DenseOperator(bad, grid), 1.0)
 

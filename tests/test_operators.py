@@ -5,8 +5,8 @@ import pytest
 
 from spectralqm import (
     DiagonalReal,
+    LinearOperator,
     OperatorSum,
-    ScaledIdentity,
     apply,
     expectation,
     force_op,
@@ -133,15 +133,34 @@ def test_expectation_additivity(grid):
     )
 
 
-def test_scaled_identity_expectation(grid):
-    psi = gaussian_packet(grid, 0.0, 1.0, 1.0)
-    assert expectation(ScaledIdentity(1.0), psi) == pytest.approx(1.0, abs=1e-12)
+def test_operator_sum_refuses_parts_on_different_grids():
+    # x on a box of length 16 plus T on one of length 4 has no one grid to act
+    # on; taking the first part's grid would give <x + T> = 2.0, not 0.125
+    g1 = make_grid(1, 64, 16.0, -8.0)
+    g2 = make_grid(1, 64, 4.0, -2.0)
+    with pytest.raises(ValueError, match="different grids"):
+        OperatorSum((position_op(g1), kinetic_op(g2)))
+    same = OperatorSum((position_op(g1), kinetic_op(g1)))
+    assert same.grid == g1
+    assert expectation(same, gaussian_packet(g1, 0.0, 0.0, 1.0)) == pytest.approx(0.125, abs=1e-12)
+
+
+class ImaginaryIdentity(LinearOperator):
+    """i * I on one grid: anti-Hermitian, so every bracket is imaginary."""
+
+    label = "iI"
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def _apply_amps(self, amps):
+        return 1j * amps
 
 
 def test_expectation_flags_non_hermitian(grid):
     psi = gaussian_packet(grid, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="not Hermitian"):
-        expectation(ScaledIdentity(1j), psi)
+        expectation(ImaginaryIdentity(grid), psi)
 
 
 def test_expectation_guard_is_relative_to_the_operator_scale():
@@ -181,8 +200,6 @@ def test_dense_matches_apply(dim, n, length, origin):
         direct = apply(op, psi).amps.ravel()
         via_matrix = dense.matrix @ psi.amps.ravel()
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
-    dense = to_dense(ScaledIdentity(2.5), grid).matrix
-    assert np.array_equal(dense, 2.5 * np.eye(grid.size))
 
 
 def test_dense_diagonal_is_diagonal(grid):
@@ -203,7 +220,7 @@ def test_dense_sum_is_sum_of_parts():
     x = grid.axis_points(0)
     h = hamiltonian(grid, 0.5 * x**2)
     total = to_dense(h).matrix
-    parts = sum(to_dense(p, grid).matrix for p in h.parts)
+    parts = sum(to_dense(p).matrix for p in h.parts)
     assert np.max(np.abs(total - parts)) < 1e-14
 
 

@@ -11,7 +11,6 @@ from spectralqm import (
     reference_two_slit_config,
     run,
     run_diffraction,
-    single_slit_config,
 )
 from spectralqm.evolution import _strang_propagate
 from spectralqm.scenarios import _prominent_peaks, extract_fringe_spacing
@@ -314,4 +313,3 @@ def test_reference_config_is_valid():
     doubled = reference_two_slit_config(2.0)
     assert doubled.initial["p0"][0] == pytest.approx(2 * cfg.initial["p0"][0])
     assert doubled.potential["barrier_height"] == cfg.potential["barrier_height"]
-    assert single_slit_config().potential["slit_separation"] == 0.0
