@@ -9,9 +9,9 @@ in a mixed representation, and a mirror-even 2-D run in its even sector
 states.  The evolution operator is a plain unitary matrix, a time-ordered
 product of slices exp(-i H dt / hbar), each through a Hermitian
 eigendecomposition (one stacked `eigh` per block of slices), which keeps it
-unitary to roundoff.  Spectra of grid operators are matrix-free up to N/32
-levels: a real symmetric H such as `hamiltonian(grid, U)` goes through
-ARPACK's symmetric Lanczos driver in real arithmetic.
+unitary to roundoff.  The spectrum of a real symmetric grid operator such as
+`hamiltonian(grid, U)` comes from a preconditioned block eigensolver (LOBPCG)
+in real arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .grids import Grid, Wavefunction
 from .operators import (
     DENSE_SIZE_LIMIT,
     DenseOperator,
+    DiagonalReal,
+    OperatorSum,
+    SpectralReal,
     _as_matrix,
     hermiticity_defect,
     spectral_gradient,
@@ -48,15 +51,13 @@ __all__ = [
 ]
 
 HERMITICITY_PRE_TOL = 1e-10
-# spectrum solves a request for at least this share of the grid's levels
-# densely (see `spectrum`)
-SPECTRUM_DENSE_FRACTION = 1 / 32
-# the deflation check of `_lowest_matrix_free`: a level found more than
-# DEFLATION_SLACK (relative) below the highest level was missed; the check's
-# ARPACK run stops at residual DEFLATION_CHECK_TOL, which leaves an eigenvalue
-# error of about its square (times |H| over the spectral gap)
-DEFLATION_SLACK = 1e-9
-DEFLATION_CHECK_TOL = 1e-6
+# `_lowest_block` runs BLOCK_PAD states beyond the request (so that it spans each
+# degenerate level whole) until every requested residual is below BLOCK_TOL times
+# the largest |H v| of its random start, the scale of a product's rounding, or
+# fails after BLOCK_MAX_STEPS steps
+BLOCK_PAD = 4
+BLOCK_TOL = 1e-13
+BLOCK_MAX_STEPS = 1000
 # a grid operator is solved matrix-free only if it maps a real state to one
 # whose imaginary part is below this share of its largest magnitude
 REALNESS_TOL = 1e-12
@@ -436,22 +437,18 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     """Lowest eigenpairs of a Hermitian Hamiltonian.
 
     A real symmetric grid LinearOperator such as `hamiltonian(...)` is solved
-    matrix-free, in real arithmetic, by ARPACK's symmetric Lanczos driver
-    through its own `_apply_amps` (see `_lowest_matrix_free`) while n_levels
-    stays below SPECTRUM_DENSE_FRACTION = 1/32 of the N grid points: ARPACK's
-    work grows with the square of its Krylov basis of 2 n_levels + 1 states,
-    the subset `eigh`'s hardly with n_levels.  From that share on, or when the
-    Krylov basis would hold more entries than the largest dense matrix, the
-    matrix is built with `to_dense` and solved by the subset `eigh`; above the
-    dense size limit such a request is refused.
+    matrix-free, in real arithmetic, by a preconditioned block solver through
+    its own `_apply_amps` (see `_lowest_block`).  That solver's basis holds
+    3 (n_levels + BLOCK_PAD) states; when this is more than a quarter of the N
+    grid points, or more entries than the largest dense matrix, the matrix is
+    built with `to_dense` and solved by the subset `eigh`, and above the dense
+    size limit such a request is refused.
 
     A grid operator that fails one probe apply (`_maps_real_to_real`), a
     complex Hermitian one such as H + c p, takes the dense route at any
-    n_levels; above the dense size limit it is refused.  On fine 1-D grids
-    ARPACK takes thousands of steps (the kinetic term spans a wide range
-    against the level spacing), and the dense path is faster.  Only the
-    matrix-free solve runs its BLAS on one thread.  A DenseOperator holds
-    its matrix and goes through the Hermiticity pre-check and subset `eigh`.
+    n_levels; above the dense size limit it is refused.  Only the matrix-free
+    solve runs its BLAS on one thread.  A DenseOperator holds its matrix and
+    goes through the Hermiticity pre-check and subset `eigh`.
 
     Eigenstates are orthonormal under the dx^dim measure and returned with
     energies ascending.
@@ -460,11 +457,9 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     n = grid.size
     if not 1 <= n_levels <= n:
         raise ValueError(f"n_levels must be in [1, {n}], got {n_levels}")
-    # eigsh keeps a Krylov basis of 2 n_levels + 1 states; one that would hold
-    # more entries than the largest dense matrix is no cheaper than that matrix
-    krylov_entries = n * (2 * n_levels + 1)
+    basis = 3 * (n_levels + BLOCK_PAD)
     if not isinstance(h, DenseOperator):
-        if n_levels >= SPECTRUM_DENSE_FRACTION * n or krylov_entries > DENSE_SIZE_LIMIT**2:
+        if 4 * basis > n or basis * n > DENSE_SIZE_LIMIT**2:
             refusal = (f"{n_levels} of {n} levels need a dense solve, and the dense limit is "
                        f"{DENSE_SIZE_LIMIT} points; ask for fewer levels")
         elif not _maps_real_to_real(h, grid):
@@ -483,7 +478,7 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
         evals, vecs = sla.eigh(h.matrix, subset_by_index=[0, n_levels - 1])
     else:
         with _single_blas_thread():
-            evals, vecs = _lowest_matrix_free(h, grid, n_levels)
+            evals, vecs = _lowest_block(h, grid, n_levels)
     states = (vecs.T * (1.0 / np.sqrt(grid.cell_volume))).reshape(n_levels, *grid.shape)
     return [(float(e), Wavefunction(grid, a.astype(complex))) for e, a in zip(evals, states)]
 
@@ -498,61 +493,58 @@ def _maps_real_to_real(h, grid: Grid) -> bool:
     return bool(np.abs(out.imag).max() <= REALNESS_TOL * np.abs(out).max())
 
 
-def _lowest_matrix_free(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_levels eigenpairs of a real symmetric grid operator by ARPACK, checked by deflation.
+def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_levels eigenpairs of a real symmetric grid operator by LOBPCG.
 
-    Everything runs in real arithmetic: `eigsh` gets a float operator whose
-    product is the real part of `_apply_amps` (`spectrum` has probed that the
-    imaginary part is roundoff), so it takes ARPACK's symmetric Lanczos
-    driver, and the states are real.
-
-    ARPACK (`eigsh`, which="SA") is single-vector Lanczos: from one start
-    vector it sees one direction of each eigenspace, so a copy of a
-    degenerate level is found only through rounding and may be missed.  The
-    returned vectors are therefore put through a Rayleigh-Ritz step, which
-    makes them orthonormal even inside a degenerate level, and one more
-    ARPACK run on H + lift Q Q^T finds the lowest level outside the span of
-    the found states Q.  If that level lies below the highest found one, its
-    state was missed: it joins the basis and the check repeats.  The start
-    vectors come from a fixed random stream (a parity-even one such as ones
-    would miss the odd levels), so reruns are byte-identical.
+    Knyazev's block solver (SIAM J. Sci. Comput. 23, 517 (2001)) on n_levels +
+    BLOCK_PAD states, in real arithmetic (`spectrum` has probed that
+    `_apply_amps` maps real states to real ones).  Each step takes the Ritz
+    pairs of the span of the block X, its last move P and the preconditioned
+    residuals W, kept orthonormal.  The preconditioner D (T + c)^-1 D, with T
+    the kinetic symbol (summed `SpectralReal` samples), D = (1 + (U - min U) /
+    c)^-1/2 for the summed `DiagonalReal` samples U, and c the largest |Ritz
+    value|, keeps the step count from growing as 1/dx^2.  The products of X and
+    P are carried along, so a last Rayleigh-Ritz step on exact products sets
+    the energies.  A fixed random start makes reruns byte-identical.
     """
-    # here, not at module top: importing it costs every CLI call about 0.03 s
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    shape, m = grid.shape, n_levels + BLOCK_PAD
+    parts = h.parts if isinstance(h, OperatorSum) else (h,)
+    kinetic, u = (sum((p.samples for p in parts if isinstance(p, kind)), np.zeros(shape))
+                  for kind in (SpectralReal, DiagonalReal))
+    kinetic = kinetic[..., :shape[-1] // 2 + 1]  # the half that rfftn keeps
 
-    n = grid.size
-    rng = np.random.default_rng(0)
+    def apply(v):
+        return h._apply_amps(v.reshape(-1, *shape)).real.reshape(len(v), -1)
 
-    def apply_columns(v):
-        return h._apply_amps(v.T.reshape(-1, *grid.shape)).real.reshape(v.shape[1], n).T
+    def precondition(r, c):
+        d = (1.0 + (u - u.min()) / c) ** -0.5
+        spec = sfft.rfftn(d * r.reshape(-1, *shape), shape) / (kinetic + c)
+        return (d * sfft.irfftn(spec, shape)).reshape(len(r), -1)
 
-    def lowest(k, found, lift, tol=0.0):
-        def matvec(v):
-            v = v.ravel()
-            out = h._apply_amps(v.reshape(grid.shape)).real.ravel()
-            # einsum, not `@`: its sums round the same on every BLAS build and
-            # thread count (`@` moves the levels' last digits)
-            return out + lift * np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, v))
-
-        operator = LinearOperator((n, n), matvec=matvec, dtype=float)
-        try:
-            return eigsh(operator, k=k, which="SA", v0=rng.standard_normal(n), tol=tol)
-        except ArpackNoConvergence as exc:
-            raise ValueError(f"spectrum did not converge: {exc}") from None
-
-    def rayleigh_ritz(basis):
-        q = np.linalg.qr(basis)[0]
-        theta, w = np.linalg.eigh(q.T @ apply_columns(q))
-        return theta[:n_levels], (q @ w)[:, :n_levels]
-
-    theta, q = rayleigh_ritz(lowest(n_levels, np.zeros((n, 0)), 0.0)[1])
-    for _ in range(n_levels):
-        spread, scale = theta[-1] - theta[0], np.abs(theta).max()
-        lift = spread + max(spread, scale)  # puts every found level above the highest
-        mu, u = lowest(1, q, lift, DEFLATION_CHECK_TOL)
-        if mu[0] >= theta[-1] - DEFLATION_SLACK * max(abs(mu[0]), scale):
-            return theta, q
-        # a missed level: solve for its state to full accuracy before it joins
-        u = lowest(1, q, lift)[1]
-        theta, q = rayleigh_ritz(np.hstack([q, u]))
-    raise ValueError(f"spectrum did not settle on {n_levels} levels")
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((grid.size, m)))[0].T
+    hq = apply(q)
+    tol = BLOCK_TOL * np.linalg.norm(hq, axis=1).max()
+    for _ in range(BLOCK_MAX_STEPS):
+        # the rows of q are the orthonormal [X; P; W], those of hq their products
+        theta, v = np.linalg.eigh(q @ hq.T)
+        # P: the old X's part outside the new X, in the higher Ritz vectors
+        rot = np.linalg.eigh(v[:m, m:].T @ v[:m, m:])[1][:, -m:]
+        coef = np.hstack([v[:, :m], v[:, m:] @ rot]).T
+        y, hy, theta = coef @ q, coef @ hq, theta[:m]
+        r = hy[:m] - theta[:, None] * y[:m]
+        norms = np.linalg.norm(r, axis=1)
+        if norms[:n_levels].max() <= tol:
+            x = y[:n_levels]
+            theta, c = np.linalg.eigh(x @ apply(x).T)
+            return theta, (c.T @ x).T
+        active = norms > tol
+        w = precondition(r[active] / norms[active, None], np.abs(theta).max())
+        for first in (True, False):
+            # project out [X; P] and orthonormalize; a Gram eigenvalue below 1e-14
+            # of the largest (of 1 for the second pass's unit rows) is rounding
+            w -= (w @ y.T) @ y
+            lam, rot = np.linalg.eigh(w @ w.T)
+            keep = lam > 1e-14 * (lam[-1] if first else 1.0)
+            w = (rot[:, keep] / np.sqrt(lam[keep])).T @ w
+        q, hq = np.vstack([y, w]), np.vstack([hy, apply(w)])
+    raise ValueError(f"spectrum did not converge in {BLOCK_MAX_STEPS} steps")

@@ -112,7 +112,10 @@ class ScenarioConfig:
         if self.initial["kind"] != "gaussian":
             raise ValueError(f"unknown initial state kind {self.initial['kind']!r}")
         for key in ("x0", "p0", "sigma"):
-            _check_numbers(self.initial[key], f"initial.{key}", positive=key == "sigma")
+            value = self.initial[key]
+            _check_numbers(value, f"initial.{key}", positive=key == "sigma")
+            if isinstance(value, (list, tuple)) and len(value) != self.grid["dim"]:
+                raise ValueError(f"initial.{key} must be a number or one per axis, got {value!r}")
         if kind == "slit_wall" and self.grid["dim"] != 2:
             raise ValueError("slit_wall potentials require dim = 2")
         for key in ("dt", "hbar", "mass"):

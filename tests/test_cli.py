@@ -306,13 +306,7 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, harmonic_config_path):
 
 def test_spectrum_without_convergence_is_usage_error(tmp_path, monkeypatch, capsys,
                                                      harmonic_config_path):
-    import scipy.sparse.linalg as ssl
-
-    def stalled(*args, **kwargs):
-        raise ssl.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
-                                      np.zeros((0, 0)))
-
-    monkeypatch.setattr(ssl, "eigsh", stalled)
+    monkeypatch.setattr(evolution, "BLOCK_MAX_STEPS", 1)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", harmonic_config_path, "--out", str(out),
                  "--levels", "3"]) == 2
@@ -675,6 +669,21 @@ def test_list_coefficient_or_bool_dim_is_usage_error(tmp_path, capsys, harmonic_
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{section}.{key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "spectrum", "diffract"])
+def test_initial_list_of_the_wrong_length_is_usage_error(tmp_path, capsys, harmonic_config_path,
+                                                         fast_slit_config_path, command):
+    # spectrum never builds the initial state, so the config itself must refuse it
+    path = fast_slit_config_path if command == "diffract" else harmonic_config_path
+    data = json.loads(Path(path).read_text())
+    data["initial"]["x0"] = [0.0] * (data["grid"]["dim"] + 2)
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, "bad.json", data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "initial.x0" in err
     assert not out.exists()
 
 

@@ -591,14 +591,22 @@ def test_spectrum_states_orthogonal():
             assert abs(inner(pairs[i][1], pairs[j][1])) < 1e-10
 
 
-@pytest.mark.parametrize("dim, matrix_free", [(1, False), (2, False), (1, True), (2, True)],
-                         ids=["1", "2", "1-matrix-free", "2-matrix-free"])
-def test_spectrum_subset_matches_full_eigh(dim, matrix_free):
-    # 1-D: the harmonic well on 256 points; 2-D: a 16x16 isotropic well, levels 1, 2, 2, 3, 3, 3
+@pytest.mark.parametrize("dim, matrix_free, omega", [
+    (1, False, 1.0), (2, False, 1.0), (1, True, 1.0), (2, True, 1.0),
+    *[(dim, True, omega) for dim in (1, 2) for omega in (0.1, 10.0)],
+], ids=["1", "2", "1-matrix-free", "2-matrix-free", "1-matrix-free-omega0.1",
+        "1-matrix-free-omega10", "2-matrix-free-omega0.1", "2-matrix-free-omega10"])
+def test_spectrum_subset_matches_full_eigh(dim, matrix_free, omega):
+    # 1-D: a harmonic well on 256 points; 2-D: a 16x16 isotropic well, levels omega
+    # times 1, 2, 2, 3, 3, 3.  omega = 0.1 and 10 span the block solver's
+    # preconditioner scale.
     grid = make_grid(1, 256, 20.0, -10.0) if dim == 1 else make_grid(2, 16, 12.0, -6.0)
-    op = hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes))
+    op = hamiltonian(grid, sum(0.5 * omega**2 * x**2 for x in grid.meshes))
     h = to_dense(op)
-    full = sla.eigh(h.matrix, eigvals_only=True)
+    # the reference levels are the Rayleigh quotients of eigh's states: eigh's own
+    # eigenvalues carry a rounding of about eps |H|, up to 6e-12 at omega = 10
+    _, vecs = sla.eigh(h.matrix)
+    full = np.einsum("ij,ij->j", vecs.conj(), h.matrix @ vecs).real
     pairs = spectrum(op if matrix_free else h, 6)
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:6])) <= 1e-12
     for energy, state in pairs:
@@ -619,34 +627,6 @@ def test_spectrum_matrix_free_states_are_orthonormal():
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
 
-def test_spectrum_recovers_a_missed_degenerate_level(monkeypatch):
-    import scipy.sparse.linalg as ssl
-
-    op = _isotropic_well(16)
-    # H is real symmetric, so the matrix-free route runs in real arithmetic
-    full_vals, full_vecs = sla.eigh(to_dense(op).matrix.real)
-    real_eigsh = ssl.eigsh
-    calls = []
-
-    def first_solve_misses_a_level(operator, k, **kwargs):
-        calls.append(k)
-        if len(calls) == 1:
-            # what single-vector Lanczos may return: one copy of level 3 short,
-            # the first state of level 4 in its place
-            keep = [0, 1, 2, 3, 4, 6]
-            return full_vals[keep], full_vecs[:, keep]
-        return real_eigsh(operator, k, **kwargs)
-
-    monkeypatch.setattr(ssl, "eigsh", first_solve_misses_a_level)
-    pairs = spectrum(op, 6)
-    # the solve, a check that finds the missed level, its full solve, a clean check
-    assert calls == [6, 1, 1, 1]
-    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full_vals[:6])) <= 1e-12
-    gram = np.array([[inner(a, b) for _, b in pairs] for _, a in pairs])
-    assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
-    assert all(not state.amps.imag.any() for _, state in pairs)
-
-
 def _well_plus_momentum(grid):
     # H + 0.3 p: complex Hermitian, so a real state maps to a complex one
     return OperatorSum((hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes)),
@@ -654,7 +634,7 @@ def _well_plus_momentum(grid):
 
 
 def test_spectrum_of_a_complex_operator_takes_the_dense_route():
-    # 4 of 256 levels is below N/32, yet the probe sends the operator to to_dense
+    # 4 of 256 levels would run matrix-free, yet the probe sends the operator to to_dense
     op = _well_plus_momentum(make_grid(1, 256, 20.0, -10.0))
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
     pairs = spectrum(op, 4)
@@ -676,7 +656,8 @@ def test_spectrum_real_route_takes_any_order_of_parts():
 
 
 def test_spectrum_solver_follows_the_share_of_levels(monkeypatch):
-    # 256 points: below N/32 = 8 levels ARPACK runs, from 8 on the dense eigh
+    # 256 points: up to 17 levels the block solver's basis of 3 (17 + 4) = 63
+    # states fits in N/4 = 64; from 18 levels (66 states) the dense eigh runs
     grid = make_grid(1, 256, 20.0, -10.0)
     op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
     built = []
@@ -686,24 +667,42 @@ def test_spectrum_solver_follows_the_share_of_levels(monkeypatch):
         return to_dense(h)
 
     monkeypatch.setattr(evolution, "to_dense", counting_to_dense)
-    spectrum(op, 7)
+    spectrum(op, 17)
     assert built == []
-    spectrum(op, 8)
+    spectrum(op, 18)
     assert built == [op]
 
 
 def test_spectrum_refuses_a_krylov_basis_above_the_dense_limit():
-    # 300 of 32768 levels is below N/32, but eigsh's basis of 601 states would
-    # hold more entries than the largest dense matrix
+    # 300 of 32768 levels: the block solver's basis of 3 (300 + 4) = 912 states is
+    # below N/4, but would hold more entries than the largest dense matrix
     grid = make_grid(2, [256, 128], 12.0, -6.0)
     op = hamiltonian(grid, sum(0.5 * x**2 for x in grid.meshes))
     with pytest.raises(ValueError, match="dense limit"):
         spectrum(op, 300)
 
 
+def test_spectrum_steps_do_not_grow_with_the_kinetic_range(monkeypatch):
+    # 1024 points over 20 length units: the kinetic term reaches 1.3e4 against a
+    # level spacing of 1; single-vector Lanczos took about 6800 products here
+    grid = make_grid(1, 1024, 20.0, -10.0)
+    op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
+    real_apply, applied = OperatorSum._apply_amps, []
+
+    def counting_apply(self, amps):
+        applied.append(amps.size // grid.size)
+        return real_apply(self, amps)
+
+    monkeypatch.setattr(OperatorSum, "_apply_amps", counting_apply)
+    pairs = spectrum(op, 4)
+    assert sum(applied) < 1000
+    full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-11
+
+
 @pytest.mark.parametrize("n_levels", [15, 16])
 def test_spectrum_dense_fallback_matches_full_eigh(n_levels):
-    # N/32 or more of the N levels go through to_dense and the subset eigh
+    # a block basis of 3 (n_levels + 4) states above N/4 goes through to_dense and the subset eigh
     grid = make_grid(1, 16, 8.0, -4.0)
     op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
@@ -742,16 +741,14 @@ def test_single_blas_thread_limits_and_restores_every_pool(blas_threads):
     assert blas_threads() == before
 
 
-def test_matrix_free_spectrum_runs_eigsh_on_one_blas_thread(monkeypatch, blas_threads):
-    import scipy.sparse.linalg as ssl
+def test_matrix_free_spectrum_runs_on_one_blas_thread(monkeypatch, blas_threads):
+    real_solver, seen = evolution._lowest_block, []
 
-    real_eigsh, seen = ssl.eigsh, []
-
-    def spying_eigsh(*args, **kwargs):
+    def spying_solver(*args, **kwargs):
         seen.append(blas_threads())
-        return real_eigsh(*args, **kwargs)
+        return real_solver(*args, **kwargs)
 
-    monkeypatch.setattr(ssl, "eigsh", spying_eigsh)
+    monkeypatch.setattr(evolution, "_lowest_block", spying_solver)
     before = blas_threads()
     spectrum(_isotropic_well(16), 6)
     assert seen and all(counts == [1] * len(before) for counts in seen)
@@ -759,12 +756,7 @@ def test_matrix_free_spectrum_runs_eigsh_on_one_blas_thread(monkeypatch, blas_th
 
 
 def test_spectrum_restores_the_blas_threads_when_it_does_not_converge(monkeypatch, blas_threads):
-    import scipy.sparse.linalg as ssl
-
-    def failing_eigsh(*args, **kwargs):
-        raise ssl.ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(ssl, "eigsh", failing_eigsh)
+    monkeypatch.setattr(evolution, "BLOCK_MAX_STEPS", 1)
     before = blas_threads()
     with pytest.raises(ValueError, match="spectrum did not converge"):
         spectrum(_isotropic_well(16), 6)
