@@ -84,10 +84,12 @@ class CheckReport:
         return dataclasses.asdict(self)
 
 
-def _report(name: str, tag: str, residual: float, tolerance: float, details: str = "") -> CheckReport:
-    # a non-positive tolerance is outside the CheckReport contract and
-    # therefore unsatisfiable: nothing passes at tolerance <= 0
-    residual = float(residual)
+def _report(name: str, tag: str, residuals, tolerance: float, details: str = "") -> CheckReport:
+    # the residual is the largest of the residual values (a number, an array or
+    # a list of either), taken by np.max so that a NaN among them is the
+    # residual and fails; a non-positive tolerance is outside the CheckReport
+    # contract and therefore unsatisfiable: nothing passes at tolerance <= 0
+    residual = float(np.max(residuals))
     tolerance = float(tolerance)
     return CheckReport(
         name=name,
@@ -106,11 +108,10 @@ def _report(name: str, tag: str, residual: float, tolerance: float, details: str
 
 def check_normalization(trajectory: Trajectory, tolerance: float = 1e-10) -> CheckReport:
     """max over records of | ||psi||^2 - 1 |; the propagator must hold norm."""
-    residual = float(np.max(np.abs(trajectory.norm - 1.0)))
     return _report(
         "normalization",
         "probability-norm",
-        residual,
+        np.abs(trajectory.norm - 1.0),
         tolerance,
         details=f"records={len(trajectory.times)}",
     )
@@ -128,18 +129,14 @@ def check_parseval_momentum(psi: Wavefunction, tolerance: float = 1e-10) -> Chec
     phi = to_momentum(psi)
     dk = grid.k_cell_volume
     density = np.abs(phi.amps) ** 2
-    residual = 0.0
-    values = []
-    for axis in range(grid.dim):
-        k = grid.k_derivative_meshes[axis]
-        p_spectral = float(psi.hbar * np.sum(k * density) * dk)
-        p_operator = expectation(momentum_op(grid, axis, psi.hbar), psi)
-        values.append((p_spectral, p_operator))
-        residual = max(residual, abs(p_spectral - p_operator))
+    values = [(float(psi.hbar * np.sum(k * density) * dk),
+               expectation(momentum_op(grid, axis, psi.hbar), psi))
+              for axis, k in enumerate(grid.k_derivative_meshes)]
     details = "; ".join(
         f"axis{a}: kspace={v[0]:.12e} operator={v[1]:.12e}" for a, v in enumerate(values)
     )
-    return _report("momentum-parseval", "momentum-spectral", residual, tolerance, details)
+    return _report("momentum-parseval", "momentum-spectral",
+                   [abs(spectral - operator) for spectral, operator in values], tolerance, details)
 
 
 def _central_difference(series: np.ndarray, h: float, stencil: int) -> tuple[np.ndarray, slice]:
@@ -171,6 +168,25 @@ def _record_interval(trajectory: Trajectory) -> float:
     return float(dt[0])
 
 
+def _ehrenfest_residuals(trajectory: Trajectory, h: float, stencil: int):
+    """|d<x>/dt - <p>/m| and |d<p>/dt - <F>| per interior record and axis, and the interior slice.
+
+    The derivatives are centered differences of records h apart.
+    """
+    dx, interior = _central_difference(trajectory.x_mean, h, stencil)
+    dp, _ = _central_difference(trajectory.p_mean, h, stencil)
+    return (np.abs(dx - trajectory.p_mean[interior] / trajectory.states[0].mass),
+            np.abs(dp - trajectory.f_mean[interior]), interior)
+
+
+def _ehrenfest_check(trajectory: Trajectory, tolerance: float, law: str) -> CheckReport:
+    """The 4th-order residual of one law, "velocity" or "force"."""
+    h = _record_interval(trajectory)
+    residuals = _ehrenfest_residuals(trajectory, h, 4)[("velocity", "force").index(law)]
+    return _report(f"ehrenfest-{law}", f"{law}-law", residuals, tolerance,
+                   details=f"h={h:.3e} stencil=4 records={len(trajectory.times)}")
+
+
 def check_ehrenfest_velocity(trajectory: Trajectory, tolerance: float = 1e-4) -> CheckReport:
     """d<x>/dt vs <p>/m on the recorded trajectory.
 
@@ -179,35 +195,12 @@ def check_ehrenfest_velocity(trajectory: Trajectory, tolerance: float = 1e-4) ->
     keeps the differencing term negligible so the integrator itself is what
     gets tested.
     """
-    h = _record_interval(trajectory)
-    mass = trajectory.states[0].mass
-    residual = 0.0
-    for axis in range(trajectory.x_mean.shape[1]):
-        d, interior = _central_difference(trajectory.x_mean[:, axis], h, 4)
-        residual = max(residual, float(np.max(np.abs(d - trajectory.p_mean[interior, axis] / mass))))
-    return _report(
-        "ehrenfest-velocity",
-        "velocity-law",
-        residual,
-        tolerance,
-        details=f"h={h:.3e} stencil=4 records={len(trajectory.times)}",
-    )
+    return _ehrenfest_check(trajectory, tolerance, "velocity")
 
 
 def check_ehrenfest_force(trajectory: Trajectory, tolerance: float = 1e-4) -> CheckReport:
     """d<p>/dt vs <F> = <-dU/dx> on the recorded trajectory."""
-    h = _record_interval(trajectory)
-    residual = 0.0
-    for axis in range(trajectory.p_mean.shape[1]):
-        d, interior = _central_difference(trajectory.p_mean[:, axis], h, 4)
-        residual = max(residual, float(np.max(np.abs(d - trajectory.f_mean[interior, axis]))))
-    return _report(
-        "ehrenfest-force",
-        "force-law",
-        residual,
-        tolerance,
-        details=f"h={h:.3e} stencil=4 records={len(trajectory.times)}",
-    )
+    return _ehrenfest_check(trajectory, tolerance, "force")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +242,10 @@ def check_commutator_system(
     sqrt_dv = np.sqrt(grid.cell_volume)
     r_force = np.linalg.norm(comm_hp - force * states, axis=-1) * sqrt_dv
     r_velocity = np.linalg.norm(comm_hx - p_states / mass, axis=-1) * sqrt_dv
-    residual = float(max(r_force.max(), r_velocity.max()))
     return _report(
         "commutator-system",
         "generator-equations",
-        residual,
+        [r_force, r_velocity],
         tolerance,
         details=f"states={len(test_states)} n={grid.n[0]}",
     )
@@ -290,7 +282,7 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
     null_basis = vh[-nullity:].conj().T  # orthonormal columns spanning the null space
     identity_vec = eye.ravel() / np.linalg.norm(eye.ravel())
     alignment = float(np.linalg.norm(null_basis.conj().T @ identity_vec))
-    residual = (nullity - 1) + max(0.0, 1.0 - alignment)
+    residual = (nullity - 1) + np.maximum(0.0, 1.0 - alignment)
     gap = float(svals[-(nullity + 1)]) if nullity < len(svals) else float("nan")
     return _report(
         "commutant-uniqueness",
@@ -322,7 +314,7 @@ def check_antihermitian_exponential(
     if n > 64:
         raise ValueError("check limited to n <= 64")
     rng = np.random.default_rng(seed)
-    residual = 0.0
+    residuals = []
     for _ in range(n_random):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if hermitian_control:
@@ -330,25 +322,25 @@ def check_antihermitian_exponential(
         else:
             a = (g - g.conj().T) / 2.0
         e = sla.expm(a)
-        residual = max(residual, unitarity_defect(e))
+        residuals.append(unitarity_defect(e))
         if not hermitian_control:
             # oracle: A = -iH with H Hermitian, so exp(A) = V exp(-i diag) V^+
             h_mat = 1j * a
             evals, vecs = sla.eigh(h_mat)
             e_oracle = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-            residual = max(residual, float(np.linalg.norm(e - e_oracle)))
+            residuals.append(np.linalg.norm(e - e_oracle))
             # reverse direction: differentiate the family exp(A t) at t = 0
             delta = 1e-4
             u_plus = (vecs * np.exp(-1j * evals * delta)) @ vecs.conj().T
             u_minus = (vecs * np.exp(1j * evals * delta)) @ vecs.conj().T
             gen = (u_plus - u_minus) / (2.0 * delta)
             anti_defect = np.linalg.norm(gen + gen.conj().T) / max(1.0, np.linalg.norm(gen))
-            residual = max(residual, float(anti_defect))
+            residuals.append(anti_defect)
     name = "antihermitian-exponential-control" if hermitian_control else "antihermitian-exponential"
     return _report(
         name,
         "unitary-generator",
-        residual,
+        residuals,
         tolerance,
         details=f"n={n} trials={n_random} seed={seed}",
     )
@@ -470,16 +462,13 @@ def check_gauge_shift(
 
     base = run(u_samples)
     shifted = run(u_samples + GAUGE_SHIFT)
-    residual = max(
-        float(np.max(np.abs(base.x_mean - shifted.x_mean))),
-        float(np.max(np.abs(base.p_mean - shifted.p_mean))),
-    )
-    for check in (check_ehrenfest_velocity, check_ehrenfest_force):
-        residual = max(residual, abs(check(base).residual - check(shifted).residual))
+    mean_shifts = np.abs([base.x_mean - shifted.x_mean, base.p_mean - shifted.p_mean])
+    law_shifts = [abs(check(base).residual - check(shifted).residual)
+                  for check in (check_ehrenfest_velocity, check_ehrenfest_force)]
     return _report(
         "gauge-shift",
         "constant-in-potential",
-        residual,
+        [mean_shifts.max(), *law_shifts],
         tolerance,
         details=f"shift={GAUGE_SHIFT}",
     )
@@ -504,14 +493,6 @@ def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     generator recovery (constant and sinusoidally driven), and generator
     Hermiticity.
     """
-    tol = {
-        "evolution-unitarity": 1e-9,
-        "evolution-composition": 1e-10,
-        "evolution-inverse": 1e-9,
-        "generator-constant": 1e-6,
-        "generator-driven": 1e-4,
-        "generator-hermiticity": 1e-6,
-    }
     grid = make_grid(1, n, EVOLUTION_LENGTH, -EVOLUTION_LENGTH / 2.0)
     x = grid.axis_points(0)
     h0 = to_dense(hamiltonian(grid, 0.5 * x**2)).matrix
@@ -527,7 +508,7 @@ def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     u_02 = evolution_operator(h_const, 0.0, 2.0, 2 * EVOLUTION_SLICES)
     reports.append(_report(
         "evolution-unitarity", "evolution-laws",
-        unitarity_defect(u_02), tol["evolution-unitarity"],
+        unitarity_defect(u_02), 1e-9,
         details=f"n={n} interval=(0,2)",
     ))
     u_01 = evolution_operator(h_const, 0.0, 1.0, EVOLUTION_SLICES)
@@ -535,14 +516,14 @@ def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     composition = float(np.linalg.norm(u_02 - u_12 @ u_01))
     reports.append(_report(
         "evolution-composition", "evolution-laws",
-        composition, tol["evolution-composition"],
+        composition, 1e-10,
         details="U(0,2) vs U(1,2) @ U(0,1)",
     ))
     u_back = evolution_operator(h_const, 2.0, 0.0, 2 * EVOLUTION_SLICES)
     inverse = float(np.linalg.norm(u_02 @ u_back - np.eye(grid.size)))
     reports.append(_report(
         "evolution-inverse", "evolution-laws",
-        inverse, tol["evolution-inverse"],
+        inverse, 1e-9,
         details="U(0,2) @ U(2,0) vs identity",
     ))
 
@@ -553,7 +534,7 @@ def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     rel_const = float(np.linalg.norm(b_const - h0) / np.linalg.norm(h0))
     reports.append(_report(
         "generator-constant", "generator-extraction",
-        rel_const, tol["generator-constant"],
+        rel_const, 1e-6,
         details=f"time-independent H, delta={probe_delta:.0e}",
     ))
     t_probe = 1.0
@@ -563,13 +544,12 @@ def check_evolution_operator(n: int = 32) -> list[CheckReport]:
     rel_driven = float(np.linalg.norm(b_driven - h_t) / np.linalg.norm(h_t))
     reports.append(_report(
         "generator-driven", "generator-extraction",
-        rel_driven, tol["generator-driven"],
+        rel_driven, 1e-4,
         details=f"drive={EVOLUTION_DRIVE}*sin(t)*x at t={t_probe}",
     ))
-    herm = max(hermiticity_defect(b_const), hermiticity_defect(b_driven))
     reports.append(_report(
         "generator-hermiticity", "generator-extraction",
-        herm, tol["generator-hermiticity"],
+        [hermiticity_defect(b_const), hermiticity_defect(b_driven)], 1e-6,
         details="worst of constant and driven extractions",
     ))
     return reports
@@ -633,18 +613,13 @@ def _harmonic_setup():
     return grid, 0.5 * x**2, -x, gaussian_packet(grid, 1.0, 0.0, np.sqrt(0.5))
 
 
-def _ehrenfest_reports(traj: Trajectory, well: str, tol: float) -> list[CheckReport]:
-    return [dataclasses.replace(check(traj, tol), name=f"ehrenfest-{law}-{well}")
-            for check, law in ((check_ehrenfest_velocity, "velocity"),
-                               (check_ehrenfest_force, "force"))]
-
-
 def _harmonic_group(config: VerifyConfig) -> list[CheckReport]:
     """Probability norm and both Ehrenfest laws on one long run in the harmonic well."""
     _, u, force, psi0 = _harmonic_setup()
     traj = split_step(psi0, u, 1.0, 1.0, WELL_DT, 10000, WELL_RECORD_EVERY, force_samples=[force],
                       store_states=False)
-    return [check_normalization(traj, 1e-10), *_ehrenfest_reports(traj, "harmonic", 1e-5)]
+    return [check_normalization(traj, 1e-10), check_ehrenfest_velocity(traj, 1e-5),
+            check_ehrenfest_force(traj, 1e-5)]
 
 
 def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
@@ -654,7 +629,7 @@ def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
     psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0)
     traj = split_step(psi0, 0.25 * x**4, 1.0, 1.0, WELL_DT, 6290, WELL_RECORD_EVERY,
                       force_samples=[-(x**3)], store_states=False)
-    return _ehrenfest_reports(traj, "quartic", 1e-4)
+    return [check_ehrenfest_velocity(traj, 1e-4), check_ehrenfest_force(traj, 1e-4)]
 
 
 def _parseval_group(config: VerifyConfig) -> list[CheckReport]:
@@ -662,7 +637,7 @@ def _parseval_group(config: VerifyConfig) -> list[CheckReport]:
     grid = _well_grid()
     rng = np.random.default_rng(config.seed)
     reports = [check_parseval_momentum(random_state(grid, rng), 1e-10) for _ in range(100)]
-    worst = max(reports, key=lambda r: r.residual)
+    worst = reports[int(np.argmax([r.residual for r in reports]))]
     return [dataclasses.replace(worst, details="max over 100 random states")]
 
 
@@ -678,11 +653,7 @@ def _commutator_group(config: VerifyConfig) -> list[CheckReport]:
 
 def _commutant_group(config: VerifyConfig) -> list[CheckReport]:
     """Triviality of the {x, p} commutant at each size."""
-    return [
-        dataclasses.replace(check_commutant_uniqueness(size, tolerance=1e-8),
-                            name=f"commutant-uniqueness-n{size}")
-        for size in COMMUTANT_SIZES
-    ]
+    return [check_commutant_uniqueness(size, tolerance=1e-8) for size in COMMUTANT_SIZES]
 
 
 def _antihermitian_group(config: VerifyConfig) -> list[CheckReport]:
@@ -693,17 +664,15 @@ def _field_group(config: VerifyConfig) -> list[CheckReport]:
     """Field-energy Parseval identity on random fields and on one harmonic."""
     grid = make_grid(1, 256, 2.0 * np.pi, 0.0)
     rng = np.random.default_rng(config.seed + 1)
-    worst = max(
-        check_field_energy_parseval(random_smooth_fields(grid, rng), 1e-12).residual
-        for _ in range(50)
-    )
+    residuals = [check_field_energy_parseval(random_smooth_fields(grid, rng), 1e-12).residual
+                 for _ in range(50)]
     # analytic single-harmonic case: total energy must be exactly 1/4
     e = np.zeros((3, 256))
     h = np.zeros((3, 256))
     e[1] = h[2] = np.sin(grid.axis_points(0))
     w_real = float(np.sum(e**2) + np.sum(h**2)) * grid.cell_volume / (8.0 * np.pi)
     return [
-        _report("field-energy-parseval", "field-energy", worst, 1e-12,
+        _report("field-energy-parseval", "field-energy", residuals, 1e-12,
                 details="max over 50 random smooth configurations"),
         _report("field-energy-sine", "field-energy", abs(w_real - 0.25), 1e-10,
                 details=f"w_real={w_real:.15e} expected=0.25"),
@@ -733,10 +702,11 @@ def _ehrenfest_names(well: str) -> list[tuple[str, str]]:
     return [(f"ehrenfest-{law}-{well}", f"{law}-law") for law in ("velocity", "force")]
 
 
-# Each group of run_all with the (name, tag) of every report it emits.  A group
-# takes the config and returns its reports.  It looks the checks, split_step,
-# make_grid and random_smooth_fields up as module globals when it runs, so
-# rebinding one of them on the module reaches the suite.
+# Each group of run_all with the (name, tag) of every report it emits, in order;
+# run_all gives the reports these names and tags.  A group takes the config and
+# returns its reports.  It looks the checks, split_step, make_grid and
+# random_smooth_fields up as module globals when it runs, so rebinding one of
+# them on the module reaches the suite.
 _SUITE = (
     (_harmonic_group, [("normalization", "probability-norm"), *_ehrenfest_names("harmonic")]),
     (_quartic_group, _ehrenfest_names("quartic")),
@@ -760,13 +730,14 @@ def run_all(config: VerifyConfig | None = None,
             group_seconds: dict | None = None) -> list[CheckReport]:
     """Run every check at the suite's fixed sizes; deterministic under the seed.
 
-    A group of checks that raises does not abort the suite: each of its
-    checks is reported as failed, under the check's own name and tag, with
-    residual inf, tolerance 0 and an `error:` detail.  Each report's pinned
-    tolerance is multiplied by `config.tolerance_scale` here, once, after its
-    group returns.  Reports come back sorted by name.  A given `group_seconds`
-    dict receives each group's wall time, keyed by the group's name
-    (`harmonic`, ..., `evolution`).  BLAS runs on one thread.
+    Each report takes its name and tag from `_SUITE`.  A group of checks
+    that raises does not abort the suite: each of its checks is reported as
+    failed, under the same name and tag, with residual inf, tolerance 0 and
+    an `error:` detail.  Each report's pinned tolerance is multiplied by
+    `config.tolerance_scale` here, once, after its group returns.  Reports
+    come back sorted by name.  A given `group_seconds` dict receives each
+    group's wall time, keyed by the group's name (`harmonic`, ...,
+    `evolution`).  BLAS runs on one thread.
     """
     config = config or VerifyConfig()
     reports: list[CheckReport] = []
@@ -778,8 +749,9 @@ def run_all(config: VerifyConfig | None = None,
             except Exception as exc:  # noqa: BLE001 - the suite must not abort
                 group_reports = [CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
                                  for name, tag in names]
-            reports.extend(_report(r.name, r.tag, r.residual, r.tolerance * config.tolerance_scale,
-                                   r.details) for r in group_reports)
+            reports.extend(_report(name, tag, r.residual, r.tolerance * config.tolerance_scale,
+                                   r.details)
+                           for (name, tag), r in zip(names, group_reports, strict=True))
             if group_seconds is not None:
                 group_seconds[group.__name__[1:].removesuffix("_group")] = time.perf_counter() - start
     return sorted(reports, key=lambda r: r.name)

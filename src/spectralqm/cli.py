@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .checks import VerifyConfig, _central_difference, run_all
+from .checks import VerifyConfig, _ehrenfest_residuals, run_all
 from .evolution import Trajectory, _blas_pools, _fft_workers
 from .grids import make_grid
 from .operators import hamiltonian
@@ -106,17 +106,14 @@ def _out_dir(out: str) -> Path:
     return path
 
 
-def _ehrenfest_residual_columns(traj: Trajectory, mass: float):
-    """3-point centered-difference residuals; None at the two endpoint rows."""
+def _ehrenfest_residual_columns(traj: Trajectory):
+    """3-point centered-difference residuals of axis 0; None at the two endpoint rows."""
     n = len(traj.times)
     v_resid: list[float | None] = [None] * n
     f_resid: list[float | None] = [None] * n
     if n >= 3:
-        h = float(traj.times[1] - traj.times[0])
-        dx, interior = _central_difference(traj.x_mean[:, 0], h, stencil=2)
-        dp, _ = _central_difference(traj.p_mean[:, 0], h, stencil=2)
-        v_resid[interior] = np.abs(dx - traj.p_mean[interior, 0] / mass).tolist()
-        f_resid[interior] = np.abs(dp - traj.f_mean[interior, 0]).tolist()
+        v, f, interior = _ehrenfest_residuals(traj, float(traj.times[1] - traj.times[0]), 2)
+        v_resid[interior], f_resid[interior] = v[:, 0].tolist(), f[:, 0].tolist()
     return v_resid, f_resid
 
 
@@ -152,7 +149,7 @@ def _write_verify(out_dir: Path, config: VerifyConfig, result):
 
 
 def _write_evolve(out_dir: Path, config: ScenarioConfig, traj: Trajectory):
-    v_resid, f_resid = _ehrenfest_residual_columns(traj, config.mass)
+    v_resid, f_resid = _ehrenfest_residual_columns(traj)
     rows = [[float(t), float(traj.norm[i]), float(traj.x_mean[i, 0]),
              float(traj.p_mean[i, 0]), float(traj.u_mean[i]), float(traj.f_mean[i, 0]),
              float(traj.energy[i]), v_resid[i], f_resid[i]] for i, t in enumerate(traj.times)]

@@ -493,6 +493,11 @@ def _maps_real_to_real(h, grid: Grid) -> bool:
     return bool(np.abs(out.imag).max() <= REALNESS_TOL * np.abs(out).max())
 
 
+def _summands(h) -> list:
+    """The operators that h adds up, with each nested OperatorSum opened."""
+    return [q for p in h.parts for q in _summands(p)] if isinstance(h, OperatorSum) else [h]
+
+
 def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_levels eigenpairs of a real symmetric grid operator by LOBPCG.
 
@@ -501,14 +506,14 @@ def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]
     `_apply_amps` maps real states to real ones).  Each step takes the Ritz
     pairs of the span of the block X, its last move P and the preconditioned
     residuals W, kept orthonormal.  The preconditioner D (T + c)^-1 D, with T
-    the kinetic symbol (summed `SpectralReal` samples), D = (1 + (U - min U) /
-    c)^-1/2 for the summed `DiagonalReal` samples U, and c the largest |Ritz
+    the summed `SpectralReal` samples of `_summands(h)`, D = (1 + (U - min U) /
+    c)^-1/2 for their summed `DiagonalReal` samples U, and c the largest |Ritz
     value|, keeps the step count from growing as 1/dx^2.  The products of X and
     P are carried along, so a last Rayleigh-Ritz step on exact products sets
     the energies.  A fixed random start makes reruns byte-identical.
     """
     shape, m = grid.shape, n_levels + BLOCK_PAD
-    parts = h.parts if isinstance(h, OperatorSum) else (h,)
+    parts = _summands(h)
     kinetic, u = (sum((p.samples for p in parts if isinstance(p, kind)), np.zeros(shape))
                   for kind in (SpectralReal, DiagonalReal))
     kinetic = kinetic[..., :shape[-1] // 2 + 1]  # the half that rfftn keeps

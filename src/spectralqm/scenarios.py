@@ -24,6 +24,7 @@ __all__ = [
     "potential_samples",
     "run",
     "run_diffraction",
+    "extract_fringe_spacing",
     "reference_two_slit_config",
 ]
 
@@ -106,8 +107,12 @@ class ScenarioConfig:
                             required={"wall", "detector"})
                 _check_numbers(list(value.values()), "potential.positions")
             elif key != "kind":
-                # each coefficient is a single number: a list is checked as one item and refused
-                _check_numbers([value], f"potential.{key}")
+                # each coefficient is a single number (a list is checked as one item and
+                # refused); a slit and a wall have a width, and two slits a separation >= 0
+                _check_numbers([value], f"potential.{key}",
+                               positive=key in ("slit_width", "barrier_thickness"))
+                if key == "slit_separation" and value < 0:
+                    raise ValueError(f"potential.slit_separation must be >= 0, got {value!r}")
         _check_keys(self.initial, _INITIAL_KEYS, "initial", required=_INITIAL_KEYS)
         if self.initial["kind"] != "gaussian":
             raise ValueError(f"unknown initial state kind {self.initial['kind']!r}")

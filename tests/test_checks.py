@@ -1,6 +1,7 @@
 """The named check suite: positive cases, negative controls, determinism."""
 
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -650,3 +651,158 @@ def test_run_all_deterministic():
 def test_verify_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown verify config key"):
         VerifyConfig.from_dict({"seeed": 1})
+
+
+# ---------------------------------------------------------------------------
+# a negative control for every suite report, and NaN residuals
+# ---------------------------------------------------------------------------
+
+
+def _group_reports(name):
+    """The reports of the _SUITE group that emits `name`, by the names run_all gives them."""
+    group, names = next(entry for entry in checks._SUITE if name in dict(entry[1]))
+    return {n: r for (n, _), r in zip(names, group(VerifyConfig()), strict=True)}
+
+
+def _wrapped(global_name, fault):
+    """A fault factory: checks.<global_name> replaced by fault(original, ...)."""
+    return lambda: (global_name, functools.partial(fault, getattr(checks, global_name)))
+
+
+def _lossy_propagator(split_step, *args, **kwargs):
+    # the norm decays at the rate 1e-9
+    trajectory = split_step(*args, **kwargs)
+    return dataclasses.replace(trajectory, norm=trajectory.norm * np.exp(-1e-9 * trajectory.times))
+
+
+def _fast_clock(split_step, psi0, u, mass, hbar, dt, *args, **kwargs):
+    # each step runs 1 % longer than the recorded times say
+    trajectory = split_step(psi0, u, mass, hbar, 1.01 * dt, *args, **kwargs)
+    return dataclasses.replace(trajectory, times=trajectory.times / 1.01)
+
+
+def _strong_force(split_step, *args, force_samples, **kwargs):
+    # the recorded force is 1 % too strong
+    return split_step(*args, force_samples=[1.01 * f for f in force_samples], **kwargs)
+
+
+def _nonlinear_propagator(split_step, *args, **kwargs):
+    trajectory = split_step(*args, **kwargs)
+    last = trajectory.states[-1]
+    bent = last.with_amps(last.amps * np.exp(1j * np.abs(last.amps) ** 2))
+    return dataclasses.replace(trajectory, states=(*trajectory.states[:-1], bent))
+
+
+def _mirrored_second_run():
+    # the shifted run comes back mirrored: its signed means flip, its laws hold
+    calls = []
+
+    def fault(split_step, *args, **kwargs):
+        trajectory = split_step(*args, **kwargs)
+        calls.append(trajectory)
+        if len(calls) == 2:
+            trajectory = dataclasses.replace(
+                trajectory, x_mean=-trajectory.x_mean, p_mean=-trajectory.p_mean,
+                f_mean=-trajectory.f_mean)
+        return trajectory
+
+    return _wrapped("split_step", fault)()
+
+
+def _one_percent_samples(op_factory, *args, **kwargs):
+    op = op_factory(*args, **kwargs)
+    return dataclasses.replace(op, samples=1.01 * op.samples)
+
+
+def _one_percent_transform(to_momentum, psi):
+    phi = to_momentum(psi)
+    return dataclasses.replace(phi, amps=1.01 * phi.amps)
+
+
+def _stretched_grid(make_grid, dim, n, length, origin):
+    return make_grid(dim, n, 1.01 * length, origin)
+
+
+def _unconjugated_defect(u):
+    # ||U^T U - I|| in place of ||U^+ U - I||
+    return float(np.linalg.norm(u.T @ u - np.eye(len(u))))
+
+
+def _zero_momentum():
+    # P = 0 leaves only the X equations, which every diagonal matrix solves
+    return "momentum_op", lambda grid: SpectralReal(grid, np.zeros(grid.shape), label="p[0]")
+
+
+# one fault per report of the suite, as a factory of (module global of checks, replacement)
+SUITE_FAULTS = {
+    "normalization": _wrapped("split_step", _lossy_propagator),
+    "ehrenfest-velocity-harmonic": _wrapped("split_step", _fast_clock),
+    "ehrenfest-velocity-quartic": _wrapped("split_step", _fast_clock),
+    "ehrenfest-force-harmonic": _wrapped("split_step", _strong_force),
+    "ehrenfest-force-quartic": _wrapped("split_step", _strong_force),
+    "momentum-parseval": _wrapped("momentum_op", _one_percent_samples),
+    "commutator-system": _wrapped("force_op", _one_percent_samples),
+    "commutant-uniqueness-n8": _zero_momentum,
+    "commutant-uniqueness-n16": _zero_momentum,
+    "antihermitian-exponential": lambda: ("unitarity_defect", _unconjugated_defect),
+    "field-energy-parseval": _wrapped("to_momentum", _one_percent_transform),
+    "field-energy-sine": _wrapped("make_grid", _stretched_grid),
+    "superposition": _wrapped("split_step", _nonlinear_propagator),
+    "gauge-shift": _mirrored_second_run,
+    **EVOLUTION_FAULTS,
+}
+
+
+def test_suite_faults_cover_every_report():
+    assert set(SUITE_FAULTS) == {name for _, names in checks._SUITE for name, _ in names}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_FAULTS))
+def test_suite_report_sees_its_fault(monkeypatch, name):
+    assert _group_reports(name)[name].passed
+    monkeypatch.setattr(checks, *SUITE_FAULTS[name]())
+    report = _group_reports(name)[name]
+    assert not report.passed, f"{name}: {report.residual} <= {report.tolerance}"
+
+
+def _nan_amplitude(monkeypatch):
+    psi = random_state(checks._well_grid(), np.random.default_rng(0))
+    amps = psi.amps.copy()
+    amps[128] = np.nan
+    return [check_parseval_momentum(psi.with_amps(amps))]
+
+
+def _nan_mean_records(monkeypatch):
+    def fault(split_step, *args, **kwargs):
+        trajectory = split_step(*args, **kwargs)
+        x_mean, p_mean = trajectory.x_mean.copy(), trajectory.p_mean.copy()
+        x_mean[len(x_mean) // 2] = p_mean[len(p_mean) // 2] = np.nan
+        return dataclasses.replace(trajectory, x_mean=x_mean, p_mean=p_mean)
+
+    monkeypatch.setattr(checks, *_wrapped("split_step", fault)())
+    reports = {**_group_reports("ehrenfest-force-harmonic"),
+               **_group_reports("ehrenfest-force-quartic")}
+    return [reports[f"ehrenfest-{law}-{well}"]
+            for law in ("velocity", "force") for well in ("harmonic", "quartic")]
+
+
+def _nan_field_configuration(monkeypatch):
+    calls = []
+
+    def fault(random_smooth_fields, grid, rng):
+        fields = random_smooth_fields(grid, rng)
+        calls.append(fields)
+        if len(calls) == 7:
+            fields.e[0, 0] = np.nan
+        return fields
+
+    monkeypatch.setattr(checks, *_wrapped("random_smooth_fields", fault)())
+    return [_group_reports("field-energy-parseval")["field-energy-parseval"]]
+
+
+@pytest.mark.parametrize("case", [_nan_amplitude, _nan_mean_records, _nan_field_configuration],
+                         ids=["amplitude", "mean-records", "field-configuration"])
+def test_a_nan_residual_fails(monkeypatch, case):
+    # max(0.0, nan) is 0.0: a residual taken by Python's max would drop the NaN and pass
+    for report in case(monkeypatch):
+        assert np.isnan(report.residual) and not report.passed, report.name

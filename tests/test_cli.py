@@ -687,6 +687,23 @@ def test_initial_list_of_the_wrong_length_is_usage_error(tmp_path, capsys, harmo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("slit_width", -0.1), ("slit_width", 0.0), ("barrier_thickness", -0.05),
+    ("barrier_thickness", 0.0), ("slit_separation", -0.02),
+])
+def test_slit_geometry_that_cannot_exist_is_usage_error(tmp_path, capsys, fast_slit_config_path,
+                                                        key, value):
+    # a negative width closes the slits, and a negative thickness removes the wall
+    data = json.loads(Path(fast_slit_config_path).read_text())
+    data["potential"][key] = value
+    out = tmp_path / "out"
+    code = main(["evolve", "--config", write_config(tmp_path, "bad.json", data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"potential.{key}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "spectrum"])
 def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, harmonic_config_path,
                                                    command):

@@ -22,6 +22,7 @@ from spectralqm import (
     make_grid,
     momentum_op,
     position_op,
+    potential_op,
     spectrum,
     split_step,
     to_dense,
@@ -698,6 +699,26 @@ def test_spectrum_steps_do_not_grow_with_the_kinetic_range(monkeypatch):
     assert sum(applied) < 1000
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-11
+
+
+def test_spectrum_preconditions_the_kinetic_term_of_a_nested_sum(monkeypatch):
+    # the 256-point well as a sum whose first part is itself a sum: the solver's
+    # preconditioner must see the kinetic term inside it (a flat sum takes 309 states)
+    grid = make_grid(1, 256, 20.0, -10.0)
+    half = 0.25 * grid.meshes[0] ** 2
+    op = OperatorSum((hamiltonian(grid, half), potential_op(grid, half)))
+    real_apply, applied = OperatorSum._apply_amps, []
+
+    def counting_apply(self, amps):
+        if self is op:
+            applied.append(amps.size // grid.size)
+        return real_apply(self, amps)
+
+    monkeypatch.setattr(OperatorSum, "_apply_amps", counting_apply)
+    pairs = spectrum(op, 4)
+    assert sum(applied) < 1000
+    full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-12
 
 
 @pytest.mark.parametrize("n_levels", [15, 16])
