@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grids import (
     Grid,
@@ -259,6 +258,7 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
     identity.  Residual = (nullity - 1) + (1 - |overlap with I|).  The
     commutant does not depend on hbar, so P is taken at hbar = 1.
     """
+    import scipy.linalg as sla
     if not 4 <= n <= 16:
         raise ValueError(f"commutant check supports 4 <= n <= 16, got {n}")
     grid = make_grid(1, n, float(n), 0.0)
@@ -311,6 +311,7 @@ def check_antihermitian_exponential(
     hermitian_control=True feeds Hermitian (not anti-) generators through
     route (a); the report is then expected to fail.
     """
+    import scipy.linalg as sla
     if n > 64:
         raise ValueError("check limited to n <= 64")
     rng = np.random.default_rng(seed)
@@ -730,10 +731,12 @@ def run_all(config: VerifyConfig | None = None,
             group_seconds: dict | None = None) -> list[CheckReport]:
     """Run every check at the suite's fixed sizes; deterministic under the seed.
 
-    Each report takes its name and tag from `_SUITE`.  A group of checks
-    that raises does not abort the suite: each of its checks is reported as
-    failed, under the same name and tag, with residual inf, tolerance 0 and
-    an `error:` detail.  Each report's pinned tolerance is multiplied by
+    Each report takes its name and tag from `_SUITE`, where its own tag must
+    be the table's, and its own name the table's or a `-`-ended prefix of it
+    (`ehrenfest-force`).  A group that raises, or whose reports do not match,
+    does not abort the suite: each of its checks is reported as failed, under
+    the table's name and tag, with residual inf, tolerance 0 and an `error:`
+    detail.  Each report's pinned tolerance is multiplied by
     `config.tolerance_scale` here, once, after its group returns.  Reports
     come back sorted by name.  A given `group_seconds` dict receives each
     group's wall time, keyed by the group's name (`harmonic`, ...,
@@ -746,6 +749,9 @@ def run_all(config: VerifyConfig | None = None,
             start = time.perf_counter()
             try:
                 group_reports = group(config)
+                for (name, tag), r in zip(names, group_reports, strict=True):
+                    if r.tag != tag or not (r.name == name or name.startswith(r.name + "-")):
+                        raise ValueError(f"{r.name} ({r.tag}) came where {name} ({tag}) belongs")
             except Exception as exc:  # noqa: BLE001 - the suite must not abort
                 group_reports = [CheckReport(name, tag, float("inf"), 0.0, False, f"error: {exc}")
                                  for name, tag in names]

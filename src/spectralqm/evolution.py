@@ -20,15 +20,13 @@ import ctypes
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.linalg as sla
 
-from .grids import Grid, Wavefunction
+from .grids import Grid, Wavefunction, _dft
 from .operators import (
     DENSE_SIZE_LIMIT,
     DenseOperator,
@@ -111,12 +109,13 @@ def _fft_workers(dim: int) -> int:
 def _blas_pools() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS pool in numpy's and scipy's wheels.
 
-    A pool is an `*openblas*` library in `numpy.libs` or `scipy.libs` (this module's imports
-    load both) exporting `scipy_openblas_{get,set}_num_threads{64_,}`; other BLAS builds have none.
+    A pool is an `*openblas*` library in `numpy.libs` or `scipy.libs`, found by path, exporting
+    `scipy_openblas_{get,set}_num_threads{64_,}`; other BLAS builds have none.
     """
+    import scipy
     pools = []
     for libs in (Path(np.__file__).parents[1] / "numpy.libs",
-                 Path(sla.__file__).parents[2] / "scipy.libs"):
+                 Path(scipy.__file__).parents[1] / "scipy.libs"):
         for path, suffix in itertools.product(sorted(libs.glob("*openblas*")), ("64_", "")):
             lib = ctypes.CDLL(str(path))
             get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
@@ -198,15 +197,20 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     amps = psi0.amps.astype(complex)
     k_squared = grid.k_squared
     if _mirror_even(u_samples) and _mirror_even(psi0.amps):
+        import scipy.fft as sfft
         width = grid.n[1] // 2 + 1
         amps = np.ascontiguousarray(amps[:, :width])
         u_samples, k_squared = u_samples[:, :width], k_squared[:, :width]
-        forward, inverse = (partial(t, type=1, axis=1) for t in (sfft.dct, sfft.idct))
+
+        def across(workers):
+            return [lambda x, out=None, t=t: t(x, type=1, axis=1, workers=workers,
+                                               overwrite_x=out is x) for t in (sfft.dct, sfft.idct)]
 
         def expand(a):
             return np.concatenate([a, a[..., -2:0:-1]], axis=-1)
     else:
-        forward, inverse = (partial(t, axes=trailing) for t in (sfft.fftn, sfft.ifftn))
+        def across(workers):
+            return [_dft(name, amps, trailing, workers) for name in ("fftn", "ifftn")]
 
         def expand(a):
             return a
@@ -224,36 +228,41 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     full_kick = half_kick * half_kick
     drift = np.exp(drift_phase, out=drift_phase)
 
-    def across(transform, a, workers=workers, overwrite_x=True):
-        # over the trailing axes, in place where scipy can; 1-D has none
-        return transform(a, workers=workers, overwrite_x=overwrite_x) if trailing else a
+    # bound once: the drift's transforms along axis 0, and those over the trailing axes
+    # (1-D has none) on `workers` for the whole state and on one for a slab or a row
+    drift_forward, drift_inverse = (_dft(name, amps, (0,), workers) for name in ("fftn", "ifftn"))
+    if trailing:
+        (forward, inverse), (slab_forward, slab_inverse) = across(workers), across(1)
 
     def row(i):
-        return expand(across(inverse, amps[i:i + 1], workers=1, overwrite_x=False))[0]
+        return expand(slab_inverse(amps[i:i + 1]) if trailing else amps[i:i + 1])[0]
 
     amps[slab] *= half_kick
-    amps = across(forward, amps)
+    amps = forward(amps, out=amps) if trailing else amps
     for step in range(1, steps + 1):
-        amps = sfft.fft(amps, axis=0, workers=workers, overwrite_x=True)
+        amps = drift_forward(amps, out=amps)
         amps *= drift
-        amps = sfft.ifft(amps, axis=0, workers=workers, overwrite_x=True)
+        amps = drift_inverse(amps, out=amps)
         if on_drift is not None:
             on_drift(row)
         recorded = on_record is not None and step % record_every == 0
         if step < steps and not recorded:
-            # the slab's rows are contiguous, so both transforms can run in place;
-            # one worker, because a slab is too small to gain from two
-            kicked = across(inverse, amps[slab], workers=1)
+            if not trailing:
+                amps[slab] *= full_kick
+                continue
+            # the slab's rows are contiguous, so both transforms can run in place
+            kicked = amps[slab]
+            kicked = slab_inverse(kicked, out=kicked)
             kicked *= full_kick
-            amps[slab] = across(forward, kicked, workers=1)
+            amps[slab] = slab_forward(kicked, out=kicked)
             continue
-        amps = across(inverse, amps)
+        amps = inverse(amps, out=amps) if trailing else amps
         amps[slab] *= half_kick
         if recorded:
             on_record(step, expand(amps))
         if step < steps:
             amps[slab] *= half_kick
-            amps = across(forward, amps)
+            amps = forward(amps, out=amps) if trailing else amps
     return expand(amps)
 
 
@@ -306,6 +315,7 @@ def split_step(
     k_moments = np.empty((len(times), len(k_weights)))
     block_rows = max(1, RECORD_BLOCK_BYTES // (16 * grid.size))
     block = np.empty((min(block_rows, len(times)), *grid.shape), dtype=complex)
+    block_fft = _dft("fftn", block, tuple(range(1, dim + 1)), _fft_workers(dim))
     states = []
 
     def record(step, amps):
@@ -317,9 +327,7 @@ def split_step(
         if row == len(block) - 1 or index == len(times) - 1:
             start, rows = index - row, block[:row + 1]
             x_moments[start:index + 1] = _weighted_sums(rows, x_weights)
-            spec = sfft.fftn(rows, axes=tuple(range(1, dim + 1)), workers=_fft_workers(dim),
-                             overwrite_x=True)
-            k_moments[start:index + 1] = _weighted_sums(spec, k_weights)
+            k_moments[start:index + 1] = _weighted_sums(block_fft(rows, out=rows), k_weights)
 
     record(0, psi0.amps)
     amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record,
@@ -475,6 +483,7 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
         defect = hermiticity_defect(h.matrix)
         if defect > HERMITICITY_PRE_TOL:
             raise ValueError(f"spectrum needs Hermitian H (defect {defect:.3e})")
+        import scipy.linalg as sla
         evals, vecs = sla.eigh(h.matrix, subset_by_index=[0, n_levels - 1])
     else:
         with _single_blas_thread():
@@ -517,14 +526,15 @@ def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]
     kinetic, u = (sum((p.samples for p in parts if isinstance(p, kind)), np.zeros(shape))
                   for kind in (SpectralReal, DiagonalReal))
     kinetic = kinetic[..., :shape[-1] // 2 + 1]  # the half that rfftn keeps
+    forward, inverse = (_dft(name, u, tuple(range(-grid.dim, 0))) for name in ("rfftn", "irfftn"))
 
     def apply(v):
         return h._apply_amps(v.reshape(-1, *shape)).real.reshape(len(v), -1)
 
     def precondition(r, c):
         d = (1.0 + (u - u.min()) / c) ** -0.5
-        spec = sfft.rfftn(d * r.reshape(-1, *shape), shape) / (kinetic + c)
-        return (d * sfft.irfftn(spec, shape)).reshape(len(r), -1)
+        spec = forward(d * r.reshape(-1, *shape)) / (kinetic + c)
+        return (d * inverse(spec, s=shape)).reshape(len(r), -1)
 
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((grid.size, m)))[0].T
     hq = apply(q)

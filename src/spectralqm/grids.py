@@ -10,16 +10,20 @@ so that the discrete Parseval identity
     sum_m |Phi_m|^2 dk^dim == sum_j |psi_j|^2 dx^dim
 
 holds without correction factors.
+
+Every DFT goes through `_dft`, whose one rule picks the library: a complex128
+transform over one axis on one worker runs through numpy.fft, which gives
+scipy.fft's bits there, and any other (two axes, real input, two workers)
+through scipy.fft, imported only then; so a 1-D run never loads scipy.fft.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "Grid",
@@ -99,7 +103,7 @@ class Grid:
     def axis_wavenumbers(self, axis: int) -> np.ndarray:
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        return TWO_PI * sfft.fftfreq(self.n[axis], d=self.spacing[axis])
+        return TWO_PI * np.fft.fftfreq(self.n[axis], d=self.spacing[axis])
 
     def axis_derivative_wavenumbers(self, axis: int) -> np.ndarray:
         """Wavenumbers for spectral differentiation: the Nyquist bin is zeroed.
@@ -270,19 +274,39 @@ def _origin_phase(grid: Grid) -> np.ndarray:
     return np.exp(-1j * phase)
 
 
+def _dft(name: str, a: np.ndarray, axes: tuple[int, ...], workers: int = 1):
+    """scipy.fft's `name` (fftn, ifftn, rfftn or irfftn) over `axes`, as a callable.
+
+    It takes arrays like `a` (its dtype, its number of axes and its lengths along
+    `axes`), irfftn's shape `s`, and `out`: the input itself, to let the result be
+    written into it (numpy does so, scipy may); either way it returns the result.
+    """
+    if name in ("fftn", "ifftn") and len(axes) == 1 and workers == 1 and a.dtype == np.complex128:
+        n = a.shape[axes[0]]
+        # an ifft scales by 1/n, rounded by numpy in double and by scipy from long double
+        if name == "fftn" or float(1 / np.longdouble(n)) == 1 / n:
+            transform = np.fft.fft if name == "fftn" else np.fft.ifft
+            # over the last axis, numpy's default, the function itself is cheaper to call
+            return transform if axes[0] in (-1, a.ndim - 1) else partial(transform, axis=axes[0])
+    import scipy.fft as sfft
+    transform = partial(getattr(sfft, name), axes=axes, workers=workers)
+    return lambda x, out=None, **kwargs: transform(x, overwrite_x=out is x, **kwargs)
+
+
 def to_momentum(psi: Wavefunction) -> MomentumAmplitudes:
     """Forward transform with the (2*pi)^(-dim/2) * dx^dim scaling."""
     grid = psi.grid
     scale = grid.cell_volume / TWO_PI ** (grid.dim / 2.0)
-    amps = sfft.fftn(psi.amps) * (scale * _origin_phase(grid))
-    return MomentumAmplitudes(grid, amps, hbar=psi.hbar, mass=psi.mass)
+    spec = _dft("fftn", psi.amps, tuple(range(grid.dim)))(psi.amps)
+    return MomentumAmplitudes(grid, spec * (scale * _origin_phase(grid)), psi.hbar, psi.mass)
 
 
 def from_momentum(phi: MomentumAmplitudes) -> Wavefunction:
     """Inverse of :func:`to_momentum`; round trips to machine precision."""
     grid = phi.grid
     scale = grid.cell_volume / TWO_PI ** (grid.dim / 2.0)
-    amps = sfft.ifftn(phi.amps * np.conj(_origin_phase(grid)) / scale)
+    amps = phi.amps * np.conj(_origin_phase(grid)) / scale
+    amps = _dft("ifftn", amps, tuple(range(grid.dim)))(amps, out=amps)
     return Wavefunction(grid, amps, hbar=phi.hbar, mass=phi.mass)
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
-from .grids import Grid, Wavefunction, inner, norm_squared
+from .grids import Grid, Wavefunction, _dft, inner, norm_squared
 
 __all__ = [
     "LinearOperator",
@@ -91,9 +90,9 @@ class SpectralReal(LinearOperator):
         # The origin phases of the forward/inverse transforms cancel for a
         # pure k-multiplier, so plain FFTs suffice.
         axes = tuple(range(-self.samples.ndim, 0))
-        spec = sfft.fftn(amps, axes=axes)
+        spec = _dft("fftn", amps, axes)(amps)
         spec *= self.samples
-        return sfft.ifftn(spec, axes=axes, overwrite_x=True)
+        return _dft("ifftn", spec, axes)(spec, out=spec)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,10 @@ def potential_op(grid: Grid, u_samples: np.ndarray) -> DiagonalReal:
 def spectral_gradient(grid: Grid, samples: np.ndarray, axis: int = 0) -> np.ndarray:
     """d(samples)/dx_axis by spectral differentiation (exact for band-limited data)."""
     k = grid.k_derivative_meshes[axis]
-    return sfft.ifftn(1j * k * sfft.fftn(np.asarray(samples, dtype=complex))).real
+    axes = tuple(range(grid.dim))
+    samples = np.asarray(samples, dtype=complex)
+    spec = 1j * k * _dft("fftn", samples, axes)(samples)
+    return _dft("ifftn", spec, axes)(spec).real
 
 
 def force_op(grid: Grid, u_samples: np.ndarray, axis: int = 0,

@@ -642,6 +642,21 @@ def test_run_all_restores_the_blas_threads_after_a_group_raises(monkeypatch, bla
     assert blas_threads() == before
 
 
+def test_run_all_fails_a_group_whose_reports_come_out_of_order(monkeypatch):
+    # swapped, each quartic report would pass under the other's name and tag
+    def _swapped_group(config):
+        return checks._quartic_group(config)[::-1]
+
+    (names,) = [names for group, names in checks._SUITE if group is checks._quartic_group]
+    monkeypatch.setattr(checks, "_SUITE", ((_swapped_group, names),))
+    reports = run_all()
+    assert [(r.name, r.tag) for r in reports] == sorted(names)
+    for r in reports:
+        assert not r.passed and r.residual == float("inf") and r.tolerance == 0.0
+        assert r.details == ("error: ehrenfest-force (force-law) came where "
+                             "ehrenfest-velocity-quartic (velocity-law) belongs")
+
+
 def test_run_all_deterministic():
     a = run_all(VerifyConfig(seed=99))
     b = run_all(VerifyConfig(seed=99))

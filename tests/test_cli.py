@@ -741,6 +741,41 @@ def test_cli_import_leaves_the_blas_pools_unsearched():
     assert result.stdout.strip() == "0"
 
 
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(spectralqm.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=False)
+
+
+# scipy.fft and scipy.linalg take about 0.2 s to import; a 1-D evolve needs neither
+LAZY_SCIPY = "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))"
+
+
+def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
+    assert _run_fresh("-c", f"import sys, spectralqm.cli; {LAZY_SCIPY}").stdout.strip() == "[]"
+
+
+def test_1d_evolve_leaves_scipy_fft_and_linalg_unloaded(harmonic_config_path, tmp_path):
+    argv = ["evolve", "--config", harmonic_config_path, "--out", str(tmp_path / "out")]
+    result = _run_fresh("-c", f"import sys, spectralqm.cli as cli; print(cli.main({argv!r})); "
+                              f"{LAZY_SCIPY}")
+    assert result.stdout.splitlines()[-2:] == ["0", "[]"]
+
+
+def test_verify_and_diffract_run_correct_in_a_fresh_process(tmp_path):
+    from test_scenarios import fast_two_slit_config
+
+    result = _run_fresh("-m", "spectralqm.cli", "verify", "--out", str(tmp_path / "verify"))
+    assert result.returncode == 0 and result.stdout.splitlines()[-1] == "20/20 checks passed"
+    path = write_config(tmp_path, "slit.json", fast_two_slit_config().as_dict())
+    result = _run_fresh("-m", "spectralqm.cli", "diffract", "--config", path,
+                        "--out", str(tmp_path / "slit"))
+    assert result.returncode == 0
+    summary = json.loads((tmp_path / "slit" / "two-slit-fast_summary.json").read_text())
+    assert summary["measured_fringe_spacing"] is not None
+    assert abs(summary["final_norm"] - 1.0) < 1e-8
+
+
 def test_run_diffraction_leaves_scipy_signal_unloaded(tmp_path):
     from test_scenarios import fast_two_slit_config
 

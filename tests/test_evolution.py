@@ -794,7 +794,7 @@ def test_dense_spectrum_and_split_step_keep_the_default_blas_threads(monkeypatch
             return real(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(evolution.sla, "eigh", spying(evolution.sla.eigh))
+    monkeypatch.setattr(sla, "eigh", spying(sla.eigh))
     monkeypatch.setattr(evolution, "_weighted_sums", spying(evolution._weighted_sums))
     grid = make_grid(1, 128, 20.0, -10.0)
     spectrum(to_dense(hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)), 5)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 from spectralqm import (
@@ -20,7 +21,7 @@ from spectralqm import (
     random_state,
     to_momentum,
 )
-from spectralqm.grids import momentum_density_norm
+from spectralqm.grids import _dft, momentum_density_norm
 
 
 def test_grid_1d_spacing_and_wavenumber_order():
@@ -232,3 +233,57 @@ def test_momentum_amplitudes_preserve_units(wide_grid):
     assert isinstance(phi, MomentumAmplitudes)
     back = from_momentum(phi)
     assert back.hbar == 2.0 and back.mass == 3.0
+
+
+# ---------------------------------------------------------------------------
+# the transform entry point: numpy.fft where it gives scipy.fft's bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def scipy_fft(monkeypatch):
+    """scipy.fft's fftn and ifftn as oracles, and the calls that _dft binds from them."""
+    oracle, calls = {}, []
+    for name in ("fftn", "ifftn"):
+        oracle[name] = real = getattr(sfft, name)
+
+        def spy(x, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, x.shape))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(sfft, name, spy)
+    return oracle, calls
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_one_axis_complex_transforms_take_numpy_and_keep_scipys_bits(scipy_fft):
+    oracle, calls = scipy_fft
+    rng = np.random.default_rng(0)
+    cases = [(_complex(rng, n), 0) for n in range(4, 4097)]
+    cases.append((_complex(rng, (256, 256)), 1))  # a record block of 256-point states
+    cases += [(_complex(rng, shape), axis) for shape in ((64, 33), (512, 257)) for axis in (0, 1)]
+    for a, axis in cases:
+        for name in ("fftn", "ifftn"):
+            want = oracle[name](a, axes=(axis,))
+            assert np.array_equal(_dft(name, a, (axis,))(a), want), (name, a.shape, axis)
+            b = a.copy()
+            assert np.array_equal(_dft(name, b, (axis,))(b, out=b), want)
+    # scipy scales the 2731-point inverse by a 1/n one bit off numpy's, so it keeps it
+    assert calls == [("ifftn", (2731,))] * 2
+
+
+def test_real_input_two_axes_and_two_workers_take_scipy(scipy_fft):
+    oracle, calls = scipy_fft
+    rng = np.random.default_rng(1)
+    real = rng.standard_normal(256)
+    # numpy transforms a real input as a complex one, and its bits differ from scipy's
+    assert not np.array_equal(np.fft.fft(real), oracle["fftn"](real, axes=(0,)))
+    plane = _complex(rng, (64, 32))
+    for a, axes, workers in ((real, (0,), 1), (plane, (0, 1), 1), (plane, (0,), 2)):
+        want = oracle["fftn"](a, axes=axes, workers=workers)
+        calls.clear()
+        assert np.array_equal(_dft("fftn", a, axes, workers)(a), want)
+        assert calls == [("fftn", a.shape)]
