@@ -40,10 +40,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_value(value) -> str:
     """Serialize with floats at 17 significant digits, keys in given order."""
     if isinstance(value, bool):
@@ -51,7 +47,7 @@ def _json_value(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, float):
-        return _format_float(value)
+        return "%.17g" % value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
@@ -68,19 +64,23 @@ def write_json(path: Path, value) -> None:
     path.write_text(_json_value(value) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Comma-separated, LF endings, dot decimals; None becomes an empty cell."""
+def write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Comma-separated, LF endings, dot decimals, one %-template per pattern of cell types.
+
+    A float (np.float64 too) is printed at 17 significant digits, None as an
+    empty cell and any other value as its str().
+    """
+    templates = {}
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, float):
-                cells.append(_format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            # "%.0s" prints None as nothing
+            template = templates[kinds] = ",".join(
+                "%.0s" if kind is type(None) else "%.17g" if issubclass(kind, float) else "%s"
+                for kind in kinds)
+        lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -149,10 +149,9 @@ def _write_verify(out_dir: Path, config: VerifyConfig, result):
 
 
 def _write_evolve(out_dir: Path, config: ScenarioConfig, traj: Trajectory):
-    v_resid, f_resid = _ehrenfest_residual_columns(traj)
-    rows = [[float(t), float(traj.norm[i]), float(traj.x_mean[i, 0]),
-             float(traj.p_mean[i, 0]), float(traj.u_mean[i]), float(traj.f_mean[i, 0]),
-             float(traj.energy[i]), v_resid[i], f_resid[i]] for i, t in enumerate(traj.times)]
+    columns = [traj.times, traj.norm, traj.x_mean[:, 0], traj.p_mean[:, 0], traj.u_mean,
+               traj.f_mean[:, 0], traj.energy]
+    rows = list(zip(*(column.tolist() for column in columns), *_ehrenfest_residual_columns(traj)))
     path = out_dir / f"{config.name}_trajectory.csv"
     write_csv(path, ["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
                      "ehrenfest_v_resid", "ehrenfest_f_resid"], rows)

@@ -12,9 +12,10 @@ so that the discrete Parseval identity
 holds without correction factors.
 
 Every DFT goes through `_dft`, whose one rule picks the library: a complex128
-transform over one axis on one worker runs through numpy.fft, which gives
-scipy.fft's bits there, and any other (two axes, real input, two workers)
-through scipy.fft, imported only then; so a 1-D run never loads scipy.fft.
+transform over one axis on one worker calls numpy.fft's pocketfft gufunc with
+numpy's own factor (1/n on the inverse), which gives scipy.fft's bits there,
+and any other (two axes, real input, two workers) goes through scipy.fft,
+imported only then; so a 1-D run never loads scipy.fft.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a in range(grid.dim):
             x = grid.meshes[a]
-            envelope = envelope - (x - x0s[a]) ** 2 / (4.0 * sigmas[a] ** 2)
+            envelope = envelope - (x - x0s[a]) ** 2 / (4.0 * np.float64(sigmas[a]) ** 2)
             phase = phase + p0s[a] * x / hbar
         amps = np.exp(envelope + 1j * phase)
     if not np.isfinite(amps).all():
@@ -280,14 +281,19 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...], workers: int = 1):
     It takes arrays like `a` (its dtype, its number of axes and its lengths along
     `axes`), irfftn's shape `s`, and `out`: the input itself, to let the result be
     written into it (numpy does so, scipy may); either way it returns the result.
+    A one-axis complex128 transform on one worker calls numpy.fft's gufunc
+    (`_pocketfft_umath.fft`/`ifft`) with the factor numpy.fft.ifft passes, 1.0
+    forward and 1/n inverse, so its bits are numpy's and the scaling runs in C.
     """
     if name in ("fftn", "ifftn") and len(axes) == 1 and workers == 1 and a.dtype == np.complex128:
         n = a.shape[axes[0]]
         # an ifft scales by 1/n, rounded by numpy in double and by scipy from long double
         if name == "fftn" or float(1 / np.longdouble(n)) == 1 / n:
-            transform = np.fft.fft if name == "fftn" else np.fft.ifft
-            # over the last axis, numpy's default, the function itself is cheaper to call
-            return transform if axes[0] in (-1, a.ndim - 1) else partial(transform, axis=axes[0])
+            from numpy.fft import _pocketfft_umath as pocketfft
+            ufunc, fct = (pocketfft.fft, 1.0) if name == "fftn" else (pocketfft.ifft, 1 / n)
+            if axes[0] not in (-1, a.ndim - 1):
+                ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
+            return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
     import scipy.fft as sfft
     transform = partial(getattr(sfft, name), axes=axes, workers=workers)
     return lambda x, out=None, **kwargs: transform(x, overwrite_x=out is x, **kwargs)

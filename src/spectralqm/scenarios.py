@@ -57,10 +57,13 @@ def _check_keys(data, allowed: set, where: str, required: set = frozenset()):
         raise ValueError(f"missing key {sorted(missing)[0]!r} in {where}")
 
 
-def _check_numbers(value, where: str, integer: bool = False, positive: bool = False):
-    """value, or each item of a list, must be a finite number (an integer if asked)."""
+def _check_numbers(value, where: str, integer: bool = False, positive: bool = False,
+                   per_axis: bool = False):
+    """value must be a finite number (an integer if asked); a per-axis value may
+    also be a non-empty list of them.  Any other list is checked as one item, and refused."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    for item in value if isinstance(value, (list, tuple)) else [value]:
+    listed = per_axis and isinstance(value, (list, tuple)) and len(value) > 0
+    for item in value if listed else [value]:
         if (isinstance(item, bool) or not isinstance(item, kinds) or not math.isfinite(item)
                 or (positive and item <= 0)):
             kind = "an integer" if integer else "a finite number"
@@ -92,9 +95,9 @@ class ScenarioConfig:
         # a bool is an int to isinstance, so True would pass as dim 1
         if type(self.grid["dim"]) is not int or self.grid["dim"] not in (1, 2):
             raise ValueError(f"grid.dim must be 1 or 2, got {self.grid['dim']!r}")
-        _check_numbers(self.grid["n"], "grid.n", integer=True, positive=True)
-        _check_numbers(self.grid["length"], "grid.length", positive=True)
-        _check_numbers(self.grid["origin"], "grid.origin")
+        _check_numbers(self.grid["n"], "grid.n", integer=True, positive=True, per_axis=True)
+        _check_numbers(self.grid["length"], "grid.length", positive=True, per_axis=True)
+        _check_numbers(self.grid["origin"], "grid.origin", per_axis=True)
         kind = self.potential.get("kind") if isinstance(self.potential, dict) else None
         if kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {kind!r}")
@@ -105,11 +108,11 @@ class ScenarioConfig:
             if key == "positions":
                 _check_keys(value, {"wall", "detector"}, "potential.positions",
                             required={"wall", "detector"})
-                _check_numbers(list(value.values()), "potential.positions")
+                for position in value.values():
+                    _check_numbers(position, "potential.positions")
             elif key != "kind":
-                # each coefficient is a single number (a list is checked as one item and
-                # refused); a slit and a wall have a width, and two slits a separation >= 0
-                _check_numbers([value], f"potential.{key}",
+                # a slit and a wall have a width, and two slits a separation >= 0
+                _check_numbers(value, f"potential.{key}",
                                positive=key in ("slit_width", "barrier_thickness"))
                 if key == "slit_separation" and value < 0:
                     raise ValueError(f"potential.slit_separation must be >= 0, got {value!r}")
@@ -118,7 +121,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown initial state kind {self.initial['kind']!r}")
         for key in ("x0", "p0", "sigma"):
             value = self.initial[key]
-            _check_numbers(value, f"initial.{key}", positive=key == "sigma")
+            _check_numbers(value, f"initial.{key}", positive=key == "sigma", per_axis=True)
             if isinstance(value, (list, tuple)) and len(value) != self.grid["dim"]:
                 raise ValueError(f"initial.{key} must be a number or one per axis, got {value!r}")
         if kind == "slit_wall" and self.grid["dim"] != 2:

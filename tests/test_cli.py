@@ -116,6 +116,25 @@ def test_evolve_csv_is_strict_rfc4180(tmp_path, harmonic_config_path):
         assert len(line.split(",")) == 9
 
 
+def _old_csv_cell(cell) -> str:
+    """The per-cell rule that write_csv's templates replace, kept as their oracle."""
+    if cell is None:
+        return ""
+    return format(float(cell), ".17g") if isinstance(cell, float) else str(cell)
+
+
+def test_write_csv_templates_give_the_per_cell_bytes(tmp_path):
+    specials = [-0.0, 5e-324, 1e308, float("inf"), -float("inf"), float("nan"), 0.1,
+                np.float64(-0.0), np.float64(5e-324), np.float64(1 / 3), np.float64("nan")]
+    others = [0, -7, np.int64(12), np.int32(-3), True, False, None, "x"]
+    rows = [specials, others, others[::-1] + specials, [None] * 3, [1.5, None, 2], [None, 1.5, 2],
+            (np.float64(2.5), 3, None), specials]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["a", "b"], rows)
+    want = "\n".join(["a,b", *(",".join(map(_old_csv_cell, row)) for row in rows)]) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_evolve_free_momentum_column_constant(tmp_path, free_config_path):
     out = tmp_path / "out"
     assert main(["evolve", "--config", free_config_path, "--out", str(out)]) == 0
@@ -670,6 +689,39 @@ def test_list_coefficient_or_bool_dim_is_usage_error(tmp_path, capsys, harmonic_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{section}.{key}" in err
     assert not out.exists()
+
+
+# a list for a scalar key, or an empty list, is refused before any work: each of these
+# once ended in a TypeError traceback with exit 1
+@pytest.mark.parametrize("command, overrides, named", [
+    ("evolve", {"mass": [1.0]}, "mass"),
+    ("evolve", {"dt": [1e-3]}, "dt"),
+    ("evolve", {"steps": []}, "steps"),
+    ("evolve", {"record_every": []}, "record_every"),
+    ("verify", {"seed": [1]}, "seed"),
+], ids=["mass-list", "dt-list", "steps-empty", "record-every-empty", "verify-seed-list"])
+def test_list_for_a_scalar_key_or_empty_list_is_usage_error(tmp_path, capsys, command,
+                                                            overrides, named):
+    data = overrides if command == "verify" else dict(HARMONIC_CONFIG, **overrides)
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, "bad.json", data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_huge_sigma_runs_like_a_flat_packet(tmp_path):
+    # sigma^2 overflows to inf, so the envelope is flat, as it is for sigma 1e150: the box
+    # warning and finite rows with exit 0 (a Python-float sigma**2 raised OverflowError)
+    data = dict(HARMONIC_CONFIG, initial=dict(HARMONIC_CONFIG["initial"], sigma=1e300))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="leaves the box"):
+        code = main(["evolve", "--config", write_config(tmp_path, "wide.json", data),
+                     "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "harmonic-cli_trajectory.csv")
+    assert np.isfinite([float(cell) for row in rows for cell in row if cell]).all()
 
 
 @pytest.mark.parametrize("command", ["evolve", "spectrum", "diffract"])

@@ -19,6 +19,7 @@ from spectralqm import (
     norm_squared,
     plane_wave,
     random_state,
+    split_step,
     to_momentum,
 )
 from spectralqm.grids import _dft, momentum_density_norm
@@ -273,6 +274,41 @@ def test_one_axis_complex_transforms_take_numpy_and_keep_scipys_bits(scipy_fft):
             assert np.array_equal(_dft(name, b, (axis,))(b, out=b), want)
     # scipy scales the 2731-point inverse by a 1/n one bit off numpy's, so it keeps it
     assert calls == [("ifftn", (2731,))] * 2
+
+
+def _one_dimensional_runs():
+    grid = make_grid(1, 256, 20.0, -10.0)
+    psi = gaussian_packet(grid, 1.0, 0.5, 1.0)
+    traj = split_step(psi, 0.5 * grid.meshes[0] ** 2, 1.0, 1.0, 1e-3, 50, record_every=5)
+    return [traj.states[-1].amps, traj.energy, traj.p_mean,
+            to_momentum(psi).amps, from_momentum(to_momentum(psi)).amps]
+
+
+def test_one_axis_complex_transforms_bypass_numpys_fft_wrappers(monkeypatch):
+    want = _one_dimensional_runs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft's Python wrapper was called")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    for got, expected in zip(_one_dimensional_runs(), want):
+        assert np.array_equal(got, expected)
+
+
+def test_one_axis_gufunc_calls_keep_numpys_bits():
+    rng = np.random.default_rng(2)
+    a = _complex(rng, 256)
+    plane = _complex(rng, (64, 66))
+    view = plane[:, ::2]  # axis 0 of a non-contiguous 2-D view
+    for name, transform in (("fftn", np.fft.fft), ("ifftn", np.fft.ifft)):
+        assert np.array_equal(_dft(name, a, (0,))(a), transform(a))
+        b = a.copy()
+        assert np.array_equal(_dft(name, b, (0,))(b, out=b), transform(a))
+        assert not view.flags.c_contiguous
+        assert np.array_equal(_dft(name, view, (0,))(view), transform(view, axis=0))
+        c = plane.copy()[:, ::2]
+        assert np.array_equal(_dft(name, c, (0,))(c, out=c), transform(view, axis=0))
 
 
 def test_real_input_two_axes_and_two_workers_take_scipy(scipy_fft):
