@@ -47,7 +47,8 @@ def _json_value(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, float):
-        return "%.17g" % value
+        # json.loads reads a non-finite float back only from json.dumps' Infinity or NaN
+        return "%.17g" % value if math.isfinite(value) else json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
@@ -171,11 +172,13 @@ def _compute_spectrum(config: ScenarioConfig, args):
 
 def _write_spectrum(out_dir: Path, config: ScenarioConfig, pairs):
     rows = [[level, float(energy), None, None] for level, (energy, _) in enumerate(pairs)]
-    if config.potential["kind"] == "harmonic":
-        # U = omega^2 |x|^2 / 2 has the levels hbar omega / sqrt(m) (n_1 + ... + n_dim + dim/2);
-        # the level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate
+    omega = abs(float(config.potential.get("omega", 1.0)))
+    if config.potential["kind"] == "harmonic" and omega > 0:
+        # U = omega^2 |x|^2 / 2 has the levels hbar |omega| / sqrt(m) (n_1 + ... + n_dim + dim/2);
+        # the level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate.  omega = 0
+        # is the flat periodic box, with no oscillator levels
         dim = config.grid["dim"]
-        quantum = config.hbar * float(config.potential.get("omega", 1.0)) / math.sqrt(config.mass)
+        quantum = config.hbar * omega / math.sqrt(config.mass)
         quanta = (n + dim / 2 for n in itertools.count()
                   for _ in range(math.comb(n + dim - 1, dim - 1)))
         for row, q in zip(rows, quanta):

@@ -1,5 +1,5 @@
-"""Named physical setups: free packet, harmonic and quartic wells, and the
-two-slit diffraction experiment on a 2-D grid.
+"""Named physical setups: free packet, harmonic and quartic wells (each kind
+stated once, in `_POTENTIALS`), and two-slit diffraction on a 2-D grid.
 
 Configs are plain serializable dataclasses; building and running them is
 fully deterministic, so identical configs give bit-identical results.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +27,18 @@ __all__ = [
     "reference_two_slit_config",
 ]
 
-POTENTIAL_KINDS = ("free", "harmonic", "quartic", "slit_wall")
-
-_POTENTIAL_KEYS = {
-    "free": set(),
-    "harmonic": {"omega"},
-    "quartic": {"a"},
-    "slit_wall": {
+# kind: (config keys, p, c(spec)) of its well U = c sum_a x_a^p / p; slit_wall has none
+_POTENTIALS = {
+    "free": (set(), 2, lambda spec: 0.0),
+    "harmonic": ({"omega"}, 2, lambda spec: np.float64(spec.get("omega", 1.0)) ** 2),
+    "quartic": ({"a"}, 4, lambda spec: float(spec.get("a", 1.0))),
+    "slit_wall": ({
         "positions",
         "slit_width",
         "slit_separation",
         "barrier_height",
         "barrier_thickness",
-    },
+    }, None, None),
 }
 _INITIAL_KEYS = {"kind", "x0", "p0", "sigma"}
 _GRID_KEYS = {"dim", "n", "length", "origin"}
@@ -70,7 +68,7 @@ def _check_numbers(value, where: str, integer: bool = False, positive: bool = Fa
             raise ValueError(f"{where} must be {kind}{' > 0' if positive else ''}, got {item!r}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one run, JSON-serializable."""
 
@@ -99,11 +97,11 @@ class ScenarioConfig:
         _check_numbers(self.grid["length"], "grid.length", positive=True, per_axis=True)
         _check_numbers(self.grid["origin"], "grid.origin", per_axis=True)
         kind = self.potential.get("kind") if isinstance(self.potential, dict) else None
-        if kind not in POTENTIAL_KINDS:
+        if kind not in _POTENTIALS:
             raise ValueError(f"unknown potential kind {kind!r}")
-        keys = _POTENTIAL_KEYS[kind]
+        keys, power, _ = _POTENTIALS[kind]
         _check_keys(self.potential, keys | {"kind"}, f"potential[{kind}]",
-                    required=keys if kind == "slit_wall" else set())
+                    required=keys if power is None else set())
         for key, value in self.potential.items():
             if key == "positions":
                 _check_keys(value, {"wall", "detector"}, "potential.positions",
@@ -174,46 +172,33 @@ def _slit_wall_samples(grid: Grid, spec: dict) -> np.ndarray:
 
 def potential_samples(grid: Grid, spec: dict) -> np.ndarray:
     """U sampled on the grid; refused unless every sample is finite."""
-    kind = spec["kind"]
-    u = np.zeros(grid.shape)
+    _, power, coefficient = _POTENTIALS[spec["kind"]]
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "harmonic":
-            omega_squared = np.float64(spec.get("omega", 1.0)) ** 2
-            for a in range(grid.dim):
-                u = u + 0.5 * omega_squared * grid.meshes[a] ** 2
-        elif kind == "quartic":
-            a_coef = float(spec.get("a", 1.0))
-            for a in range(grid.dim):
-                u = u + 0.25 * a_coef * grid.meshes[a] ** 4
-        elif kind == "slit_wall":
+        if power is None:
             u = _slit_wall_samples(grid, spec)
-        elif kind != "free":
-            raise ValueError(f"unknown potential kind {kind!r}")
+        else:
+            # (c / p) x^p overflows later than c x^p / p; U = 0 if c = 0, even where x^p does
+            c = coefficient(spec)
+            u = sum(((c / power) * x**power for x in grid.meshes if c), np.zeros(grid.shape))
     if not np.isfinite(u).all():
-        raise ValueError(f"the {kind} potential samples overflow for {spec!r}")
+        raise ValueError(f"the {spec['kind']} potential samples overflow for {spec!r}")
     return u
 
 
 def _analytic_force(grid: Grid, spec: dict):
-    """Closed-form -dU/dx per axis, or None to fall back to spectral.
+    """Closed-form -dU/dx = -c x^(p-1) per axis of a well, or None to fall back to spectral.
 
     Refused unless every sample is finite: the force can overflow where the
     potential does not (a |x|^3 > a x^4 / 4 for |x| < 4).
     """
-    kind = spec["kind"]
-    if kind == "free":
-        return [np.zeros(grid.shape) for _ in range(grid.dim)]
+    _, power, coefficient = _POTENTIALS[spec["kind"]]
+    if power is None:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "harmonic":
-            omega_squared = np.float64(spec.get("omega", 1.0)) ** 2
-            force = [-omega_squared * grid.meshes[a] for a in range(grid.dim)]
-        elif kind == "quartic":
-            a_coef = float(spec.get("a", 1.0))
-            force = [-a_coef * grid.meshes[a] ** 3 for a in range(grid.dim)]
-        else:
-            return None
+        c = coefficient(spec)
+        force = [-c * x ** (power - 1) if c else np.zeros(grid.shape) for x in grid.meshes]
     if not all(np.isfinite(f).all() for f in force):
-        raise ValueError(f"the {kind} force -dU/dx overflows for {spec!r}")
+        raise ValueError(f"the {spec['kind']} force -dU/dx overflows for {spec!r}")
     return force
 
 
@@ -252,7 +237,7 @@ PARAXIAL_HALF_TANGENT = 0.3
 PEAK_PROMINENCE_FRACTION = 0.08
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DiffractionResult:
     """Time-integrated detector intensity plus the fringe-spacing comparison.
 

@@ -27,7 +27,7 @@ from spectralqm import (
     split_step,
     to_dense,
 )
-from spectralqm import checks
+from spectralqm import checks, evolution
 from spectralqm.checks import (
     CheckReport,
     check_evolution_operator,
@@ -434,6 +434,21 @@ def test_gauge_shift_sees_a_sign_flip(harmonic, monkeypatch):
     report = check_gauge_shift(u, psi0, 1e-3, 500, 10, force_samples=[force])
     assert len(calls) == 2
     assert not report.passed and report.residual > 1.0
+
+
+def test_gauge_shift_sees_a_kernel_that_breaks_the_gauge(monkeypatch):
+    # the kernel propagates under U + 1e-3 U^2: its kicks stay phases and it stays
+    # linear, but U + GAUGE_SHIFT no longer differs from U by a constant
+    real_propagate = evolution._strang_propagate
+
+    def skewed(psi0, u_samples, *args, **kwargs):
+        return real_propagate(psi0, u_samples + 1e-3 * u_samples**2, *args, **kwargs)
+
+    [clean] = checks._gauge_group(VerifyConfig())
+    assert clean.passed and clean.residual < 1e-12
+    monkeypatch.setattr(evolution, "_strang_propagate", skewed)
+    [report] = checks._gauge_group(VerifyConfig())
+    assert not report.passed and report.residual > 1e-3
 
 
 EVOLUTION_REPORTS = {

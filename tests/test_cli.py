@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import scipy
 
 import spectralqm
-from spectralqm import cli, evolution
+from spectralqm import checks, cli, evolution
 from spectralqm.cli import main
 
 
@@ -250,6 +251,20 @@ def test_spectrum_free_has_empty_analytic_column(tmp_path, free_config_path):
     assert rows[0][2] == "" and rows[0][3] == ""
 
 
+def test_spectrum_analytic_levels_take_the_magnitude_of_omega(tmp_path):
+    # omega and -omega give the same well; omega = 0 is the flat periodic box
+    csv_bytes = {}
+    for omega in (1.0, -1.0, 0.0):
+        data = dict(HARMONIC_CONFIG, potential={"kind": "harmonic", "omega": omega})
+        out = tmp_path / f"out{omega}"
+        assert main(["spectrum", "--config", write_config(tmp_path, f"{omega}.json", data),
+                     "--out", str(out), "--levels", "3"]) == 0
+        csv_bytes[omega] = (out / "harmonic-cli_spectrum.csv").read_bytes()
+    assert csv_bytes[-1.0] == csv_bytes[1.0]
+    _, rows = read_csv(tmp_path / "out0.0" / "harmonic-cli_spectrum.csv")
+    assert len(rows) == 3 and all(row[2] == "" and row[3] == "" for row in rows)
+
+
 def test_spectrum_too_many_levels_is_usage_error(tmp_path, free_config_path):
     assert main(["spectrum", "--config", free_config_path, "--levels", "999",
                  "--out", str(tmp_path / "o")]) == 2
@@ -384,6 +399,25 @@ def test_verify_default_passes(tmp_path, capsys):
     assert all(r["passed"] for r in reports)
     for r in reports:
         assert set(r) == {"name", "tag", "residual", "tolerance", "passed", "details"}
+
+
+def test_verify_report_of_a_raising_group_reads_back_as_json(tmp_path, monkeypatch):
+    def _raising_group(config):
+        raise RuntimeError("the group broke")
+
+    (_, names), *rest = checks._SUITE
+    monkeypatch.setattr(checks, "_SUITE", ((_raising_group, names), *rest))
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 1
+    reports = {r["name"]: r for r in json.loads((out / "verify_reports.json").read_text())}
+    assert len(reports) == 20
+    for name, _ in names:
+        assert reports[name]["residual"] == math.inf and not reports[name]["passed"]
+    json.loads((out / "verify_manifest.json").read_text())
+    # a non-finite float is written as json.dumps writes it; a finite one at 17 digits
+    values = [math.inf, -math.inf, math.nan, np.float64(-math.inf), 0.1]
+    assert cli._json_value(values) == "[Infinity, -Infinity, NaN, -Infinity, 0.10000000000000001]"
+    np.testing.assert_array_equal(json.loads(cli._json_value(values)), values)
 
 
 def test_verify_zero_tolerance_scale_fails(tmp_path):

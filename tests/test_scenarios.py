@@ -8,12 +8,16 @@ import pytest
 from spectralqm import (
     ScenarioConfig,
     build,
+    make_grid,
+    potential_samples,
     reference_two_slit_config,
     run,
     run_diffraction,
 )
+from spectralqm.checks import _central_difference
 from spectralqm.evolution import _strang_propagate
-from spectralqm.scenarios import _prominent_peaks, extract_fringe_spacing
+from spectralqm.scenarios import (_POTENTIALS, _analytic_force, _prominent_peaks,
+                                  extract_fringe_spacing)
 from test_evolution import plain_strang
 
 
@@ -76,6 +80,42 @@ def test_build_free_potential_is_zero():
     cfg = harmonic_config(potential={"kind": "free"})
     _, u, _ = build(cfg)
     assert np.max(np.abs(u)) == 0.0
+
+
+# each well's U along one axis as the README states it, from its coefficient
+WELL_FORMS = {
+    "free": lambda c, x: 0.0 * x,
+    "harmonic": lambda c, x: 0.5 * c**2 * x**2,
+    "quartic": lambda c, x: 0.25 * c * x**4,
+}
+WELL_GRIDS = {1: (64, 8.0, -4.0), 2: ([32, 16], [8.0, 6.0], [-4.0, -3.0])}
+
+
+def test_well_forms_cover_every_well_of_the_table():
+    assert set(WELL_FORMS) == {kind for kind, (_, power, _) in _POTENTIALS.items() if power}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind, c", [
+    ("free", None),
+    *[(kind, c) for kind in ("harmonic", "quartic") for c in (0.3, 1.0, 2.5, -1.5)],
+])
+def test_each_well_force_is_minus_the_derivative_of_its_potential(kind, c, dim):
+    grid = make_grid(dim, *WELL_GRIDS[dim])
+    keys, _, _ = _POTENTIALS[kind]
+    spec = {"kind": kind, **{key: c for key in keys}}
+    u = potential_samples(grid, spec)
+    force = _analytic_force(grid, spec)
+    np.testing.assert_allclose(u, sum(WELL_FORMS[kind](c, x) for x in grid.meshes),
+                               rtol=1e-15, atol=0.0)
+    assert len(force) == dim
+    for axis in range(dim):
+        # the 5-point stencil is exact up to degree 4, so only rounding remains
+        derivative, interior = _central_difference(np.moveaxis(u, axis, 0),
+                                                   grid.spacing[axis], 4)
+        along = np.moveaxis(force[axis], axis, 0)[interior]
+        scale = max(np.max(np.abs(along)), 1.0)
+        assert np.max(np.abs(along + derivative)) <= 1e-9 * scale
 
 
 def test_build_slit_wall_geometry():
