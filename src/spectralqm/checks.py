@@ -271,7 +271,7 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
         return np.kron(eye, a.T) - np.kron(a, eye)
 
     stacked = np.vstack([commutation_block(x_dense), commutation_block(p_dense)])
-    _, svals, vh = sla.svd(stacked)
+    _, svals, vh = sla.svd(stacked, full_matrices=False)
     cutoff = max(svals[0], 1.0) * 1e-10
     nullity = int(np.sum(svals <= cutoff))
     if nullity == 0:
@@ -318,10 +318,7 @@ def check_antihermitian_exponential(
     residuals = []
     for _ in range(n_random):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if hermitian_control:
-            a = (g + g.conj().T) / 2.0
-        else:
-            a = (g - g.conj().T) / 2.0
+        a = (g + g.conj().T if hermitian_control else g - g.conj().T) / 2.0
         e = sla.expm(a)
         residuals.append(unitarity_defect(e))
         if not hermitian_control:
@@ -668,8 +665,7 @@ def _field_group(config: VerifyConfig) -> list[CheckReport]:
     residuals = [check_field_energy_parseval(random_smooth_fields(grid, rng), 1e-12).residual
                  for _ in range(50)]
     # analytic single-harmonic case: total energy must be exactly 1/4
-    e = np.zeros((3, 256))
-    h = np.zeros((3, 256))
+    e, h = np.zeros((2, 3, 256))
     e[1] = h[2] = np.sin(grid.axis_points(0))
     w_real = float(np.sum(e**2) + np.sum(h**2)) * grid.cell_volume / (8.0 * np.pi)
     return [

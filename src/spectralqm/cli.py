@@ -22,7 +22,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy
@@ -32,12 +32,14 @@ from .checks import VerifyConfig, _ehrenfest_residuals, run_all
 from .evolution import Trajectory, _blas_pools, _fft_workers
 from .grids import make_grid
 from .operators import hamiltonian
-from .scenarios import ScenarioConfig, potential_samples, run, run_diffraction
+from .scenarios import _POTENTIALS, ScenarioConfig, potential_samples, run, run_diffraction
 from .evolution import spectrum as compute_spectrum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+# lines that write_csv writes per call, and rows that _trajectory_rows converts at a time
+_CSV_BLOCK = 4096
 
 
 def _json_value(value) -> str:
@@ -65,24 +67,30 @@ def write_json(path: Path, value) -> None:
     path.write_text(_json_value(value) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], rows: list) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable) -> None:
     """Comma-separated, LF endings, dot decimals, one %-template per pattern of cell types.
 
     A float (np.float64 too) is printed at 17 significant digits, None as an
-    empty cell and any other value as its str().
+    empty cell and any other value as its str().  The rows may be any
+    iterable, a generator too; they are written as they are formatted, one
+    write of _CSV_BLOCK lines at a time, so the text held at once is a block's.
     """
     templates = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            # "%.0s" prints None as nothing
-            template = templates[kinds] = ",".join(
-                "%.0s" if kind is type(None) else "%.17g" if issubclass(kind, float) else "%s"
-                for kind in kinds)
-        lines.append(template % tuple(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [",".join(header) + "\n"]
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                # "%.0s" prints None as nothing
+                template = templates[kinds] = ",".join(
+                    "%.0s" if kind is type(None) else "%.17g" if issubclass(kind, float) else "%s"
+                    for kind in kinds) + "\n"
+            lines.append(template % tuple(row))
+            if len(lines) == _CSV_BLOCK:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
 
 
 def _load_json_config(path: str) -> dict:
@@ -107,15 +115,23 @@ def _out_dir(out: str) -> Path:
     return path
 
 
-def _ehrenfest_residual_columns(traj: Trajectory):
-    """3-point centered-difference residuals of axis 0; None at the two endpoint rows."""
+def _trajectory_rows(traj: Trajectory):
+    """The trajectory CSV's rows, converted from the arrays _CSV_BLOCK at a time; the last two
+    cells, the 3-point Ehrenfest residuals of axis 0, are None at the two endpoint rows."""
     n = len(traj.times)
-    v_resid: list[float | None] = [None] * n
-    f_resid: list[float | None] = [None] * n
+    columns = [traj.times, traj.norm, traj.x_mean[:, 0], traj.p_mean[:, 0], traj.u_mean,
+               traj.f_mean[:, 0], traj.energy]
+    residuals = [np.empty(0)] * 2
     if n >= 3:
-        v, f, interior = _ehrenfest_residuals(traj, float(traj.times[1] - traj.times[0]), 2)
-        v_resid[interior], f_resid[interior] = v[:, 0].tolist(), f[:, 0].tolist()
-    return v_resid, f_resid
+        v, f, _ = _ehrenfest_residuals(traj, float(traj.times[1] - traj.times[0]), 2)
+        residuals = [v[:, 0], f[:, 0]]
+    for start in range(0, n, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, n)
+        cells = [column[start:stop].tolist() for column in columns]
+        # row i's residual sits at i - 1
+        cells += [[None] * (start == 0) + resid[max(start - 1, 0):stop - 1].tolist()
+                  + [None] * (stop == n) for resid in residuals]
+        yield from zip(*cells)
 
 
 def _load_verify(args) -> VerifyConfig:
@@ -150,13 +166,11 @@ def _write_verify(out_dir: Path, config: VerifyConfig, result):
 
 
 def _write_evolve(out_dir: Path, config: ScenarioConfig, traj: Trajectory):
-    columns = [traj.times, traj.norm, traj.x_mean[:, 0], traj.p_mean[:, 0], traj.u_mean,
-               traj.f_mean[:, 0], traj.energy]
-    rows = list(zip(*(column.tolist() for column in columns), *_ehrenfest_residual_columns(traj)))
+    """The trajectory CSV, written block by block as _trajectory_rows converts the arrays."""
     path = out_dir / f"{config.name}_trajectory.csv"
     write_csv(path, ["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
-                     "ehrenfest_v_resid", "ehrenfest_f_resid"], rows)
-    print(f"wrote {path} ({len(rows)} records)")
+                     "ehrenfest_v_resid", "ehrenfest_f_resid"], _trajectory_rows(traj))
+    print(f"wrote {path} ({len(traj.times)} records)")
     return [path], EXIT_OK
 
 
@@ -172,13 +186,14 @@ def _compute_spectrum(config: ScenarioConfig, args):
 
 def _write_spectrum(out_dir: Path, config: ScenarioConfig, pairs):
     rows = [[level, float(energy), None, None] for level, (energy, _) in enumerate(pairs)]
-    omega = abs(float(config.potential.get("omega", 1.0)))
-    if config.potential["kind"] == "harmonic" and omega > 0:
-        # U = omega^2 |x|^2 / 2 has the levels hbar |omega| / sqrt(m) (n_1 + ... + n_dim + dim/2);
-        # the level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate.  omega = 0
-        # is the flat periodic box, with no oscillator levels
+    _, power, coefficient = _POTENTIALS[config.potential["kind"]]
+    c = coefficient(config.potential) if power == 2 else 0.0
+    if c > 0:
+        # U = c |x|^2 / 2 has the levels hbar sqrt(c) / sqrt(m) (n_1 + ... + n_dim + dim/2); the
+        # level n_1 + ... + n_dim = n is C(n + dim - 1, dim - 1)-fold degenerate.  c = 0 is
+        # the flat periodic box (free, or omega = 0), with no oscillator levels
         dim = config.grid["dim"]
-        quantum = config.hbar * omega / math.sqrt(config.mass)
+        quantum = config.hbar * math.sqrt(c) / math.sqrt(config.mass)
         quanta = (n + dim / 2 for n in itertools.count()
                   for _ in range(math.comb(n + dim - 1, dim - 1)))
         for row, q in zip(rows, quanta):

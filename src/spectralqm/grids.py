@@ -142,22 +142,16 @@ def make_grid(dim: int, n, length, origin) -> Grid:
     """Build a periodic grid; n must be a power of two >= 4 on every axis."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    ns = _per_axis(n, dim, "n")
-    lengths = _per_axis(length, dim, "length")
-    origins = _per_axis(origin, dim, "origin")
+    ns = tuple(int(v) for v in _per_axis(n, dim, "n"))
+    lengths = tuple(float(v) for v in _per_axis(length, dim, "length"))
+    origins = tuple(float(v) for v in _per_axis(origin, dim, "origin"))
     for nv in ns:
-        nv = int(nv)
         if nv < 4 or nv & (nv - 1) != 0:
             raise ValueError(f"samples per axis must be a power of two >= 4, got {nv}")
     for lv in lengths:
         if not lv > 0:
             raise ValueError(f"length must be positive, got {lv}")
-    return Grid(
-        dim=dim,
-        n=tuple(int(v) for v in ns),
-        length=tuple(float(v) for v in lengths),
-        origin=tuple(float(v) for v in origins),
-    )
+    return Grid(dim, ns, lengths, origins)
 
 
 @dataclass(frozen=True)
@@ -231,13 +225,10 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 
                 f"gaussian_packet support (x0 +/- 5 sigma) leaves the box on axis {a}",
                 stacklevel=2,
             )
-    phase = np.zeros(grid.shape)
-    envelope = np.zeros(grid.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for a in range(grid.dim):
-            x = grid.meshes[a]
-            envelope = envelope - (x - x0s[a]) ** 2 / (4.0 * np.float64(sigmas[a]) ** 2)
-            phase = phase + p0s[a] * x / hbar
+        envelope = sum(-(x - c) ** 2 / (4.0 * np.float64(s) ** 2)
+                       for x, c, s in zip(grid.meshes, x0s, sigmas))
+        phase = sum(p * x / hbar for x, p in zip(grid.meshes, p0s))
         amps = np.exp(envelope + 1j * phase)
     if not np.isfinite(amps).all():
         cause = "p0 x / hbar" if not np.isfinite(phase).all() else "(x - x0)^2 / (4 sigma^2)"
@@ -269,10 +260,7 @@ def random_state(grid: Grid, rng: np.random.Generator, hbar: float = 1.0, mass: 
 
 def _origin_phase(grid: Grid) -> np.ndarray:
     """exp(-i k . x0) factor relating the DFT to the origin-anchored transform."""
-    phase = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        phase = phase + grid.k_meshes[a] * grid.origin[a]
-    return np.exp(-1j * phase)
+    return np.exp(-1j * sum(k * x0 for k, x0 in zip(grid.k_meshes, grid.origin)))
 
 
 def _dft(name: str, a: np.ndarray, axes: tuple[int, ...], workers: int = 1):

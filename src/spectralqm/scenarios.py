@@ -161,11 +161,8 @@ def _slit_wall_samples(grid: Grid, spec: dict) -> np.ndarray:
         ((wall_x + thickness / 2) - x) / dx
     )
     centers = [0.0] if separation == 0.0 else [-separation / 2, separation / 2]
-    opening = np.zeros_like(y)
-    for c in centers:
-        opening = opening + _smooth_step((y - (c - width / 2)) / dy) * _smooth_step(
-            ((c + width / 2) - y) / dy
-        )
+    opening = sum(_smooth_step((y - (c - width / 2)) / dy)
+                  * _smooth_step(((c + width / 2) - y) / dy) for c in centers)
     opening = np.clip(opening, 0.0, 1.0)
     return height * along * (1.0 - opening)
 

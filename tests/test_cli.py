@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,8 +17,9 @@ import pytest
 import scipy
 
 import spectralqm
-from spectralqm import checks, cli, evolution
+from spectralqm import checks, cli, evolution, scenarios
 from spectralqm.cli import main
+from spectralqm.grids import gaussian_packet, make_grid
 
 
 def write_config(tmp_path: Path, name: str, data: dict) -> str:
@@ -134,6 +136,93 @@ def test_write_csv_templates_give_the_per_cell_bytes(tmp_path):
     cli.write_csv(path, ["a", "b"], rows)
     want = "\n".join(["a,b", *(",".join(map(_old_csv_cell, row)) for row in rows)]) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def _old_csv_bytes(header, rows) -> bytes:
+    return ("\n".join([",".join(header), *(",".join(map(_old_csv_cell, row)) for row in rows)])
+            + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
+                                   2 * cli._CSV_BLOCK + 7])
+def test_write_csv_streams_a_generator_to_the_bytes_of_a_list(tmp_path, count):
+    # None cells, and the pattern of cell types changing in the middle of a block
+    def row(i):
+        if i % 997 == 5:
+            return (i, None, "x")
+        return (i * 0.1, None if i % 3 else np.float64(-i / 7), 1e300 * i)
+
+    rows = [row(i) for i in range(count)]
+    cli.write_csv(tmp_path / "list.csv", ["a", "b", "c"], rows)
+    cli.write_csv(tmp_path / "gen.csv", ["a", "b", "c"], (row(i) for i in range(count)))
+    want = _old_csv_bytes(["a", "b", "c"], rows)
+    assert (tmp_path / "list.csv").read_bytes() == want
+    assert (tmp_path / "gen.csv").read_bytes() == want
+
+
+def _scenario():
+    return cli.ScenarioConfig.from_dict(HARMONIC_CONFIG)
+
+
+def _synthetic_trajectory(records: int) -> evolution.Trajectory:
+    rng = np.random.default_rng(records)
+    psi = gaussian_packet(make_grid(1, 16, 8.0, -4.0), 0.0, 0.0, 0.5, mass=2.0)
+    return evolution.Trajectory(
+        times=np.arange(records) * 1e-3, states=(psi,), norm=1.0 + rng.normal(0.0, 1e-14, records),
+        x_mean=rng.normal(size=(records, 1)), p_mean=rng.normal(size=(records, 1)),
+        u_mean=rng.random(records), f_mean=rng.normal(size=(records, 1)),
+        energy=rng.random(records))
+
+
+@pytest.mark.parametrize("records", [1, 2, 3, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+                                     cli._CSV_BLOCK + 2, 2 * cli._CSV_BLOCK + 3])
+def test_trajectory_csv_blocks_give_the_old_rows(tmp_path, capsys, records):
+    # the oracle: whole columns zipped, residuals None at the two endpoint rows
+    traj = _synthetic_trajectory(records)
+    columns = [traj.times, traj.norm, traj.x_mean[:, 0], traj.p_mean[:, 0], traj.u_mean,
+               traj.f_mean[:, 0], traj.energy]
+    residuals = [[None] * records for _ in range(2)]
+    if records >= 3:
+        v, f, interior = checks._ehrenfest_residuals(traj, float(traj.times[1] - traj.times[0]), 2)
+        residuals[0][interior], residuals[1][interior] = v[:, 0].tolist(), f[:, 0].tolist()
+    cli._write_evolve(tmp_path, dataclasses.replace(_scenario(), name="synthetic"), traj)
+    header = ["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
+              "ehrenfest_v_resid", "ehrenfest_f_resid"]
+    want = _old_csv_bytes(header, zip(*(c.tolist() for c in columns), *residuals))
+    assert (tmp_path / "synthetic_trajectory.csv").read_bytes() == want
+    assert f"({records} records)" in capsys.readouterr().out
+
+
+def test_trajectory_csv_write_holds_one_block_not_every_record(tmp_path, capsys):
+    # the whole-file writer held ~920 B per record: 17.6 MiB at 20 001 records, 69.9 at 80 001
+    peaks = {}
+    for records in (20_001, 80_001):
+        traj = _synthetic_trajectory(records)
+        tracemalloc.start()
+        try:
+            cli._write_evolve(tmp_path, _scenario(), traj)
+            peaks[records] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20_001] <= 6 * 2**20
+    assert (peaks[80_001] - peaks[20_001]) / 60_000 <= 64
+
+
+def test_evolve_with_two_records_writes_the_old_bytes(tmp_path):
+    # steps = record_every: the first and last records only, so every residual cell is empty
+    data = dict(HARMONIC_CONFIG, steps=10, record_every=10)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_config(tmp_path, "two.json", data),
+                 "--out", str(out)]) == 0
+    traj = cli.run(cli.ScenarioConfig.from_dict(data))
+    rows = [[*map(float, cells), None, None] for cells in zip(
+        traj.times, traj.norm, traj.x_mean[:, 0], traj.p_mean[:, 0], traj.u_mean,
+        traj.f_mean[:, 0], traj.energy)]
+    assert len(rows) == 2
+    raw = (out / "harmonic-cli_trajectory.csv").read_bytes()
+    assert raw == _old_csv_bytes(["t", "norm", "x_mean", "p_mean", "u_mean", "f_mean", "energy",
+                                  "ehrenfest_v_resid", "ehrenfest_f_resid"], rows)
+    assert raw.count(b",,") == 2 and raw.endswith(b",\n")
 
 
 def test_evolve_free_momentum_column_constant(tmp_path, free_config_path):
@@ -263,6 +352,22 @@ def test_spectrum_analytic_levels_take_the_magnitude_of_omega(tmp_path):
     assert csv_bytes[-1.0] == csv_bytes[1.0]
     _, rows = read_csv(tmp_path / "out0.0" / "harmonic-cli_spectrum.csv")
     assert len(rows) == 3 and all(row[2] == "" and row[3] == "" for row in rows)
+
+
+def test_spectrum_analytic_levels_follow_the_potential_table(tmp_path, monkeypatch):
+    # the harmonic default omega lives in scenarios' table alone: at omega = 2 the levels
+    # are 2 (n + 1/2)
+    keys, power, _ = scenarios._POTENTIALS["harmonic"]
+    monkeypatch.setitem(scenarios._POTENTIALS, "harmonic",
+                        (keys, power, lambda spec: np.float64(spec.get("omega", 2.0)) ** 2))
+    data = dict(HARMONIC_CONFIG, potential={"kind": "harmonic"})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_config(tmp_path, "default.json", data),
+                 "--out", str(out), "--levels", "3"]) == 0
+    _, rows = read_csv(out / "harmonic-cli_spectrum.csv")
+    assert [float(r[2]) for r in rows] == [1.0, 3.0, 5.0]
+    assert all(float(r[1]) == pytest.approx(float(r[2]), abs=1e-6) for r in rows)
+    assert all(float(r[3]) < 1e-6 for r in rows)
 
 
 def test_spectrum_too_many_levels_is_usage_error(tmp_path, free_config_path):
