@@ -99,9 +99,8 @@ class Trajectory:
 
 
 def _fft_workers(dim: int) -> int:
-    # The drift's axis-0 transforms of a 2-D grid benefit from both cores;
-    # 1-D ones are too small to bother.  The kick's slab transforms always run
-    # on one (see `_strang_propagate`).
+    # The one worker rule: a 2-D drift's axis-0 transforms, the only whole-state ones in most
+    # steps, run on two workers; 1-D ones are too small to bother.  Every other runs on one.
     return 2 if dim == 2 else 1
 
 
@@ -179,7 +178,11 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     Then only the columns j = 0..n/2 are held, and the transform along axis 1
     is the DCT-I of those columns, which equals the first n/2 + 1 entries of
     the FFT of the whole even row.  Any other input, 1-D runs and odd n
-    included, is held whole and transformed by FFTs.
+    included, is held whole and transformed by FFTs.  So the representation
+    is picked once, as the (forward, inverse, expand) triple that the whole
+    state, the kick's slab and a row share: the identity in 1-D, one-worker
+    FFTs along axis 1 (and the identity) on a full 2-D grid, the DCT-I and
+    IDCT-I (and the mirror image of the columns) in the even sector.
 
     Adjacent half-kicks are merged into one full kick, and split only at the
     last step and at each record point (step % record_every == 0), where the
@@ -192,28 +195,22 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     any step.
     """
     grid = psi0.grid
-    workers = _fft_workers(grid.dim)
     trailing = tuple(range(1, grid.dim))
     amps = psi0.amps.astype(complex)
     k_squared = grid.k_squared
+    forward = inverse = expand = lambda a, out=None: a  # the identity
     if _mirror_even(u_samples) and _mirror_even(psi0.amps):
         import scipy.fft as sfft
         width = grid.n[1] // 2 + 1
         amps = np.ascontiguousarray(amps[:, :width])
         u_samples, k_squared = u_samples[:, :width], k_squared[:, :width]
-
-        def across(workers):
-            return [lambda x, out=None, t=t: t(x, type=1, axis=1, workers=workers,
-                                               overwrite_x=out is x) for t in (sfft.dct, sfft.idct)]
+        forward, inverse = (lambda x, out=None, t=t: t(x, type=1, axis=1, overwrite_x=out is x)
+                            for t in (sfft.dct, sfft.idct))
 
         def expand(a):
             return np.concatenate([a, a[..., -2:0:-1]], axis=-1)
-    else:
-        def across(workers):
-            return [_dft(name, amps, trailing, workers) for name in ("fftn", "ifftn")]
-
-        def expand(a):
-            return a
+    elif trailing:
+        forward, inverse = (_dft(name, amps, trailing) for name in ("fftn", "ifftn"))
 
     rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
     slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
@@ -228,17 +225,15 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     full_kick = half_kick * half_kick
     drift = np.exp(drift_phase, out=drift_phase)
 
-    # bound once: the drift's transforms along axis 0, and those over the trailing axes
-    # (1-D has none) on `workers` for the whole state and on one for a slab or a row
-    drift_forward, drift_inverse = (_dft(name, amps, (0,), workers) for name in ("fftn", "ifftn"))
-    if trailing:
-        (forward, inverse), (slab_forward, slab_inverse) = across(workers), across(1)
+    # bound once: the drift's transforms along axis 0, the only ones that may use two workers
+    drift_forward, drift_inverse = (_dft(name, amps, (0,), _fft_workers(grid.dim))
+                                    for name in ("fftn", "ifftn"))
 
     def row(i):
-        return expand(slab_inverse(amps[i:i + 1]) if trailing else amps[i:i + 1])[0]
+        return expand(inverse(amps[i:i + 1]))[0]
 
     amps[slab] *= half_kick
-    amps = forward(amps, out=amps) if trailing else amps
+    amps = forward(amps, out=amps)
     for step in range(1, steps + 1):
         amps = drift_forward(amps, out=amps)
         amps *= drift
@@ -252,17 +247,17 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
                 continue
             # the slab's rows are contiguous, so both transforms can run in place
             kicked = amps[slab]
-            kicked = slab_inverse(kicked, out=kicked)
+            kicked = inverse(kicked, out=kicked)
             kicked *= full_kick
-            amps[slab] = slab_forward(kicked, out=kicked)
+            amps[slab] = forward(kicked, out=kicked)
             continue
-        amps = inverse(amps, out=amps) if trailing else amps
+        amps = inverse(amps, out=amps)
         amps[slab] *= half_kick
         if recorded:
             on_record(step, expand(amps))
         if step < steps:
             amps[slab] *= half_kick
-            amps = forward(amps, out=amps) if trailing else amps
+            amps = forward(amps, out=amps)
     return expand(amps)
 
 
@@ -289,7 +284,7 @@ def split_step(
     differentiation of u_samples when omitted.  Supply the analytic
     derivative for potentials that are not periodic-smooth.
     """
-    if not (np.isfinite(dt) and dt > 0):
+    if not (np.isfinite(float(dt)) and dt > 0):  # numpy cannot take an int beyond int64
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -310,12 +305,12 @@ def split_step(
     dim = grid.dim
     x_weights = [None, *grid.meshes, u_samples, *force_samples]
     k_weights = [*grid.k_derivative_meshes, grid.k_squared]
-    times = np.arange(0, steps + 1, record_every) * dt
+    times = np.arange(0, steps + 1, record_every) * float(dt)
     x_moments = np.empty((len(times), len(x_weights)))
     k_moments = np.empty((len(times), len(k_weights)))
     block_rows = max(1, RECORD_BLOCK_BYTES // (16 * grid.size))
     block = np.empty((min(block_rows, len(times)), *grid.shape), dtype=complex)
-    block_fft = _dft("fftn", block, tuple(range(1, dim + 1)), _fft_workers(dim))
+    block_fft = _dft("fftn", block, tuple(range(1, dim + 1)))
     states = []
 
     def record(step, amps):

@@ -8,7 +8,7 @@ fully deterministic, so identical configs give bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 import warnings
 
 import numpy as np
@@ -62,9 +62,10 @@ def _check_numbers(value, where: str, integer: bool = False, positive: bool = Fa
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     listed = per_axis and isinstance(value, (list, tuple)) and len(value) > 0
     for item in value if listed else [value]:
-        if (isinstance(item, bool) or not isinstance(item, kinds) or not math.isfinite(item)
-                or (positive and item <= 0)):
-            kind = "an integer" if integer else "a finite number"
+        # an int compares with a float exactly, so one beyond the largest double fails here
+        if (isinstance(item, bool) or not isinstance(item, kinds)
+                or not abs(item) <= sys.float_info.max or (positive and item <= 0)):
+            kind = "a finite integer" if integer else "a finite number"
             raise ValueError(f"{where} must be {kind}{' > 0' if positive else ''}, got {item!r}")
 
 
@@ -86,9 +87,12 @@ class ScenarioConfig:
     def __post_init__(self):
         """Validate every input once, so a bad config fails here with a ValueError."""
         name = self.name
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ValueError(f"name must be a plain file stem, without a path separator, "
-                             f"got {name!r}")
+        stem = name.encode("utf-8", "replace") if isinstance(name, str) else b""
+        # <name>_trajectory.csv must be a file name: in UTF-8 (no lone surrogate), 255 bytes at most
+        if (stem in (b"", b".", b"..") or any(c in stem for c in (b"/", b"\\", b"\0"))
+                or len(stem) > 240 or stem.decode() != name):
+            raise ValueError(f"name must be a plain file stem of at most 240 UTF-8 bytes, without "
+                             f"a path separator or NUL, got {name!r}")
         _check_keys(self.grid, _GRID_KEYS, "grid", required=_GRID_KEYS)
         # a bool is an int to isinstance, so True would pass as dim 1
         if type(self.grid["dim"]) is not int or self.grid["dim"] not in (1, 2):

@@ -294,9 +294,16 @@ def grid_without(key):
     ({"grid": grid_without("origin")}, "'origin'"),
     ({"initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.0}}, "'sigma'"),
     ({"potential": {"kind": "harmonic", "omega": "1.0"}}, "omega"),
+    # a 401-digit integer is beyond the largest double: refused, not an OverflowError
+    ({"steps": 10**400}, "steps"),
+    ({"seed": 10**400}, "seed"),
+    ({"grid": dict(HARMONIC_CONFIG["grid"], n=10**400)}, "grid.n"),
+    ({"dt": 10**400}, "dt"),
+    ({"initial": dict(HARMONIC_CONFIG["initial"], x0=10**400)}, "initial.x0"),
 ], ids=["dt-nan", "dt-string", "steps-float", "record-every-float", "grid-without-n",
         "grid-without-length", "grid-without-origin", "initial-without-sigma",
-        "omega-string"])
+        "omega-string", "steps-huge-int", "seed-huge-int", "n-huge-int", "dt-huge-int",
+        "x0-huge-int"])
 def test_evolve_bad_config_value_is_usage_error(tmp_path, capsys, overrides, named):
     path = write_config(tmp_path, "bad.json", dict(HARMONIC_CONFIG, **overrides))
     out = tmp_path / "out"
@@ -306,12 +313,37 @@ def test_evolve_bad_config_value_is_usage_error(tmp_path, capsys, overrides, nam
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["../../escape", "sub/escape", "..\\escape", "..", "."])
+@pytest.mark.parametrize("name", [
+    "../../escape", "sub/escape", "..\\escape", "..", ".",
+    # a file name holds no NUL and is UTF-8, and <name>_trajectory.csv fits in 255 bytes
+    pytest.param("a\u0000b", id="nul"),
+    pytest.param("\ud800", id="lone-surrogate"),
+    pytest.param("\u00e9" * 120 + "x", id="241-bytes"),
+])
 def test_evolve_name_must_be_a_plain_file_stem(tmp_path, name):
     path = write_config(tmp_path, "bad.json", dict(HARMONIC_CONFIG, name=name))
     before = set(tmp_path.rglob("*"))
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "a" / "b" / "out")]) == 2
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_evolve_name_of_240_bytes_runs(tmp_path):
+    # 120 two-byte letters: <name>_trajectory.csv is 255 bytes, the longest file name allowed
+    name = "\u00e9" * 120
+    path = write_config(tmp_path, "long.json", dict(HARMONIC_CONFIG, name=name))
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / f"{name}_trajectory.csv").exists()
+
+
+def test_evolve_integer_dt_beyond_int64_runs_as_its_float(tmp_path):
+    # numpy takes no int beyond int64, but the config rule admits any int up to the largest double
+    written = []
+    for dt in (10**20, 1e20):
+        path = write_config(tmp_path, "dt.json", dict(HARMONIC_CONFIG, dt=dt))
+        out = tmp_path / f"out{len(written)}"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+        written.append((out / "harmonic-cli_trajectory.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +591,13 @@ def test_verify_rejects_unknown_config_key(tmp_path, capsys):
     # the suite's sizes are fixed, so a config cannot thin out the certificate
     ({"parseval_states": 1}, [], "parseval_states"),
     ({"norm_steps": 100}, [], "norm_steps"),
+    # a 401-digit integer is beyond the doubles, in the file or from --seed
+    ({"seed": 10**400}, [], "seed"),
+    ({}, ["--seed", str(10**400)], "seed"),
 ], ids=["seed-string", "norm-n-float", "norm-steps-float", "record-every-zero",
         "tolerance-scale-string", "tolerance-scale-nan", "tolerance-scale-negative",
         "commutant-sizes-int", "commutant-sizes-empty", "top-level-list",
-        "parseval-states-one", "norm-steps-fewer"])
+        "parseval-states-one", "norm-steps-fewer", "seed-huge-int", "seed-flag-huge-int"])
 def test_verify_bad_config_value_is_usage_error(tmp_path, capsys, config, flags, named):
     path = write_config(tmp_path, "v.json", config)
     out = tmp_path / "o"
