@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .checks import VerifyConfig, _ehrenfest_residuals, run_all
-from .evolution import Trajectory, _blas_pools, _fft_workers
+from .evolution import Trajectory, _blas_pools
 from .grids import make_grid
 from .operators import hamiltonian
 from .scenarios import _POTENTIALS, ScenarioConfig, potential_samples, run, run_diffraction
@@ -239,22 +239,17 @@ class _Command:
     fields: Callable = lambda config, result, phases: {}  # the command's own manifest fields
 
 
-def _propagation_fields(config: ScenarioConfig, result, phases) -> dict:
-    return {"steps_per_second": config.steps / phases["compute"],
-            "fft_workers": _fft_workers(config.grid["dim"])}
-
-
 def _evolve_fields(config: ScenarioConfig, traj: Trajectory, phases) -> dict:
     # the energy drift is relative to |E(0)|, and null when E(0) is 0
     e0 = abs(float(traj.energy[0]))
     energy_drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
-    return {**_propagation_fields(config, traj, phases),
+    return {"steps_per_second": config.steps / phases["compute"],
             "max_norm_drift": float(np.max(np.abs(traj.norm - 1.0))),
             "relative_energy_drift": energy_drift / e0 if e0 else None}
 
 
 def _diffract_fields(config: ScenarioConfig, result, phases) -> dict:
-    return {**_propagation_fields(config, result, phases),
+    return {"steps_per_second": config.steps / phases["compute"],
             "norm_drift": abs(result.final_norm - 1.0)}
 
 

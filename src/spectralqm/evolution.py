@@ -98,12 +98,6 @@ class Trajectory:
         return self.states[0].grid
 
 
-def _fft_workers(dim: int) -> int:
-    # The one worker rule: a 2-D drift's axis-0 transforms, the only whole-state ones in most
-    # steps, run on two workers; 1-D ones are too small to bother.  Every other runs on one.
-    return 2 if dim == 2 else 1
-
-
 @cache
 def _blas_pools() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS pool in numpy's and scipy's wheels.
@@ -180,8 +174,8 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     the FFT of the whole even row.  Any other input, 1-D runs and odd n
     included, is held whole and transformed by FFTs.  So the representation
     is picked once, as the (forward, inverse, expand) triple that the whole
-    state, the kick's slab and a row share: the identity in 1-D, one-worker
-    FFTs along axis 1 (and the identity) on a full 2-D grid, the DCT-I and
+    state, the kick's slab and a row share: the identity in 1-D, FFTs
+    along axis 1 (and the identity) on a full 2-D grid, the DCT-I and
     IDCT-I (and the mirror image of the columns) in the even sector.
 
     Adjacent half-kicks are merged into one full kick, and split only at the
@@ -225,9 +219,7 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     full_kick = half_kick * half_kick
     drift = np.exp(drift_phase, out=drift_phase)
 
-    # bound once: the drift's transforms along axis 0, the only ones that may use two workers
-    drift_forward, drift_inverse = (_dft(name, amps, (0,), _fft_workers(grid.dim))
-                                    for name in ("fftn", "ifftn"))
+    drift_forward, drift_inverse = (_dft(name, amps, (0,)) for name in ("fftn", "ifftn"))
 
     def row(i):
         return expand(inverse(amps[i:i + 1]))[0]

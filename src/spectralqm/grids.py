@@ -12,14 +12,15 @@ so that the discrete Parseval identity
 holds without correction factors.
 
 Every DFT goes through `_dft`, whose one rule picks the library: a complex128
-transform over one axis on one worker calls numpy.fft's pocketfft gufunc with
-numpy's own factor (1/n on the inverse), which gives scipy.fft's bits there,
-and any other (two axes, real input, two workers) goes through scipy.fft,
-imported only then; so a 1-D run never loads scipy.fft.
+transform over one axis calls numpy.fft's pocketfft gufunc with numpy's own
+factor (1/n on the inverse), which gives scipy.fft's bits there, and any other
+(two axes, real input) goes through scipy.fft, imported only then; so a 1-D
+run never loads scipy.fft.  Every transform runs on one worker.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -151,6 +152,11 @@ def make_grid(dim: int, n, length, origin) -> Grid:
     for lv in lengths:
         if not lv > 0:
             raise ValueError(f"length must be positive, got {lv}")
+    # the quadrature weight and the sample points must be doubles, or every sum over them is NaN
+    if not all(map(math.isfinite, (math.prod(lv / nv for lv, nv in zip(lengths, ns)),
+                                   *(ov + lv for ov, lv in zip(origins, lengths))))):
+        raise ValueError(f"the grid overflows: its cell volume dx^{dim} or its far edge origin + "
+                         f"length is not finite (length={lengths}, origin={origins})")
     return Grid(dim, ns, lengths, origins)
 
 
@@ -263,17 +269,17 @@ def _origin_phase(grid: Grid) -> np.ndarray:
     return np.exp(-1j * sum(k * x0 for k, x0 in zip(grid.k_meshes, grid.origin)))
 
 
-def _dft(name: str, a: np.ndarray, axes: tuple[int, ...], workers: int = 1):
+def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
     """scipy.fft's `name` (fftn, ifftn, rfftn or irfftn) over `axes`, as a callable.
 
     It takes arrays like `a` (its dtype, its number of axes and its lengths along
     `axes`), irfftn's shape `s`, and `out`: the input itself, to let the result be
     written into it (numpy does so, scipy may); either way it returns the result.
-    A one-axis complex128 transform on one worker calls numpy.fft's gufunc
+    A one-axis complex128 transform calls numpy.fft's gufunc
     (`_pocketfft_umath.fft`/`ifft`) with the factor numpy.fft.ifft passes, 1.0
     forward and 1/n inverse, so its bits are numpy's and the scaling runs in C.
     """
-    if name in ("fftn", "ifftn") and len(axes) == 1 and workers == 1 and a.dtype == np.complex128:
+    if name in ("fftn", "ifftn") and len(axes) == 1 and a.dtype == np.complex128:
         n = a.shape[axes[0]]
         # an ifft scales by 1/n, rounded by numpy in double and by scipy from long double
         if name == "fftn" or float(1 / np.longdouble(n)) == 1 / n:
@@ -283,7 +289,7 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...], workers: int = 1):
                 ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
             return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
     import scipy.fft as sfft
-    transform = partial(getattr(sfft, name), axes=axes, workers=workers)
+    transform = partial(getattr(sfft, name), axes=axes)
     return lambda x, out=None, **kwargs: transform(x, overwrite_x=out is x, **kwargs)
 
 

@@ -254,13 +254,11 @@ def test_evolve_manifest_lists_existing_outputs(tmp_path, harmonic_config_path):
     assert manifest["config"]["steps"] == 400
 
 
-def test_evolve_manifest_records_steps_per_second_and_fft_workers(tmp_path,
-                                                                   harmonic_config_path):
+def test_evolve_manifest_records_steps_per_second(tmp_path, harmonic_config_path):
     out = tmp_path / "out"
     main(["evolve", "--config", harmonic_config_path, "--out", str(out)])
     manifest = json.loads((out / "evolve_manifest.json").read_text())
     assert manifest["steps_per_second"] > 0
-    assert manifest["fft_workers"] == 1  # 1-D grid
 
 
 def test_evolve_missing_config_is_usage_error(tmp_path):
@@ -638,7 +636,6 @@ def test_diffract_writes_csv_and_summary(tmp_path, fast_slit_config_path):
     assert abs(summary["final_norm"] - 1.0) < 1e-8
     manifest = json.loads((out / "diffract_manifest.json").read_text())
     assert manifest["steps_per_second"] > 0
-    assert manifest["fft_workers"] == 2  # 2-D grid
 
 
 def test_diffract_single_slit_nulls_fringe_fields(tmp_path):
@@ -747,9 +744,8 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
     assert sum(phases.values()) <= manifest["duration_seconds"]
     if command in ("evolve", "diffract"):
         assert manifest["steps_per_second"] > 0
-        assert manifest["fft_workers"] == (1 if command == "evolve" else 2)
     else:
-        assert "steps_per_second" not in manifest and "fft_workers" not in manifest
+        assert "steps_per_second" not in manifest
     drift_fields = {"evolve": ("max_norm_drift", "relative_energy_drift"),
                     "diffract": ("norm_drift",)}.get(command, ())
     for field in ("max_norm_drift", "relative_energy_drift", "norm_drift"):
@@ -811,6 +807,8 @@ OVERFLOWING_INPUTS = {
     "huge-a-force": {"grid": {"dim": 1, "n": 64, "length": 3.0, "origin": -1.5},
                      "potential": {"kind": "quartic", "a": 1e308},
                      "initial": {"kind": "gaussian", "x0": 0.0, "p0": 0.0, "sigma": 0.2}},
+    "huge-box-2d": {"grid": {"dim": 2, "n": [16, 16], "length": 1e308, "origin": [-10.0, -10.0]},
+                    "potential": {"kind": "free"}},
 }
 
 
@@ -819,7 +817,7 @@ OVERFLOWING_INPUTS = {
     ("diffract", "hbar"), ("diffract", "mass"),
     *[(command, unit) for unit in ("huge-hbar", "huge-omega", "huge-a")
       for command in ("evolve", "spectrum")],
-    ("evolve", "huge-a-force"),
+    ("evolve", "huge-a-force"), ("evolve", "huge-box-2d"),
 ])
 def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
                                          fast_slit_config_path, command, unit):
@@ -828,7 +826,8 @@ def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
     # the correctly rounded value, so nothing non-finite arises.  hbar 1e200
     # overflows hbar^2 (kinetic samples, energy prefactor); omega 1e200 and a 1e308
     # overflow the potential samples.  On a box of length 3, a 1e308 leaves the
-    # potential a x^4 / 4 finite but overflows the force a x^3, which only evolve uses
+    # potential a x^4 / 4 finite but overflows the force a x^3, which only evolve uses.
+    # A 2-D box of length 1e308 has a cell volume dx^2 that overflows to inf
     path = fast_slit_config_path if command == "diffract" else harmonic_config_path
     data = dict(json.loads(Path(path).read_text()), **OVERFLOWING_INPUTS[unit])
     out = tmp_path / "out"

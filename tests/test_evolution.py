@@ -317,35 +317,6 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
     assert bool(dct_calls) == even_sector
 
 
-def test_only_the_drift_transforms_take_a_second_fft_worker(monkeypatch):
-    calls = []  # (axes, workers) of every transform
-    dft = evolution._dft
-
-    def spying_dft(name, a, axes, workers=1):
-        calls.append((tuple(axes), workers))
-        return dft(name, a, axes, workers)
-
-    monkeypatch.setattr(evolution, "_dft", spying_dft)
-    for name in ("dct", "idct"):
-        def spying(*args, transform=getattr(sfft, name), **kw):
-            calls.append(((kw["axis"],), kw.get("workers") or 1))
-            return transform(*args, **kw)
-
-        monkeypatch.setattr(sfft, name, spying)
-    grid = make_grid(2, [64, 32], [12.0, 10.0], [-6.0, -5.0])
-    u = _rows_potential(grid, list(range(28, 35)))
-    packet = gaussian_packet(grid, [-0.3, 0.5], [2.0, -1.0], [0.9, 0.8])
-    split_step(packet, u, 1.0, 1.0, 2e-2, 12, 3)  # the full grid, with records
-    u = 0.5 * (u + _mirrored(u))
-    even = packet.with_amps(0.5 * (packet.amps + _mirrored(packet.amps)))
-    n_full = len(calls)
-    evolution._strang_propagate(even, u, 1.0, 1.0, 2e-2, 12, 3, lambda step, amps: None,
-                                on_drift=lambda row: row(30))
-    assert ((1,), 1) in calls[n_full:]  # the even sector ran its DCTs
-    assert ((0,), evolution._fft_workers(2)) in calls[n_full:]
-    assert [call for call in calls if call[0] != (0,) and call[1] != 1] == []
-
-
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):
     grid, u, force = harmonic_setup
     psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)

@@ -1,10 +1,11 @@
 """A seeded fuzzer of the CLI's exit-code contract.
 
 Each variant takes a small `evolve`, `spectrum` or `diffract` config and sets
-one or two of its keys to an awkward value.  Whatever the value, the run must
-exit 0 or 2, never raise.  Exit 2 prints one `error: ` line and creates no
-`--out`.  Exit 0 writes finite or empty CSV cells and JSON that `json.loads`
-reads.  No run writes outside `--out`.
+one or two of its keys to an awkward value.  The wells are 1-D, or 2-D and
+even in y, so that their runs take the even sector and the 2-D drift.
+Whatever the value, the run must exit 0 or 2, never raise.  Exit 2 prints
+one `error: ` line and creates no `--out`.  Exit 0 writes finite or empty CSV
+cells and JSON that `json.loads` reads.  No run writes outside `--out`.
 """
 
 import copy
@@ -18,6 +19,7 @@ from spectralqm.cli import main
 
 VARIANTS = 300
 DIFFRACT_VARIANTS = 8
+VARIANTS_2D = 100  # drawn after the others, which they leave unchanged
 AWKWARD_VALUES = [0, -1, 1e300, -1e300, 1e-300, 1e308, math.nan, "1.0", None, [], [1.0],
                   [1.0, 2.0], True]
 WELLS = {"free": None, "harmonic": "omega", "quartic": "a"}
@@ -38,6 +40,13 @@ def well_config(kind: str) -> dict:
             "potential": potential,
             "initial": {"kind": "gaussian", "x0": 1.0, "p0": 0.5, "sigma": 1.0},
             "dt": 1e-3, "steps": 20, "record_every": 5}
+
+
+def well_config_2d(kind: str) -> dict:
+    return dict(well_config(kind),
+                grid={"dim": 2, "n": [16, 8], "length": [20.0, 16.0], "origin": [-10.0, -8.0]},
+                initial={"kind": "gaussian", "x0": [1.0, 0.0], "p0": [0.5, 0.0],
+                         "sigma": [1.0, 1.0]})
 
 
 def slit_config() -> dict:
@@ -75,12 +84,13 @@ def mutate(rng: random.Random, config: dict, keys: list) -> str:
 
 def variants():
     rng = random.Random(2022)
-    for index in range(VARIANTS):
+    for index in range(VARIANTS + VARIANTS_2D):
         if index < DIFFRACT_VARIANTS:
             command, config, keys = "diffract", slit_config(), KEYS + SLIT_KEYS
         else:
             kind = rng.choice(sorted(WELLS))
-            command, config = rng.choice(["evolve", "spectrum"]), well_config(kind)
+            command = rng.choice(["evolve", "spectrum"])
+            config = (well_config if index < VARIANTS else well_config_2d)(kind)
             keys = KEYS + ([("potential", WELLS[kind])] if WELLS[kind] else [])
         changes = [mutate(rng, config, keys) for _ in range(rng.choice([1, 2]))]
         yield index, command, config, changes
@@ -136,5 +146,6 @@ def test_awkward_config_values_keep_the_exit_code_contract(tmp_path, capsys, mon
             broken.append(f"{where}: exit {code}")
         if [path.name for path in run_dir.iterdir()] not in ([], ["out"]) or any(work.iterdir()):
             broken.append(f"{where}: wrote outside --out")
-    assert not broken, f"{len(broken)} of {VARIANTS} variants broke the contract:\n" + "\n".join(
+    total = VARIANTS + VARIANTS_2D
+    assert not broken, f"{len(broken)} of {total} variants broke the contract:\n" + "\n".join(
         broken)
