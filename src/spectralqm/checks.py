@@ -38,7 +38,7 @@ from .operators import (
     position_op,
     to_dense,
 )
-from .scenarios import _check_numbers
+from .scenarios import _check_keys, _check_numbers
 from .evolution import (
     Trajectory,
     _single_blas_thread,
@@ -580,11 +580,7 @@ class VerifyConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "VerifyConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"verify config must be a JSON object, got {data!r}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(VerifyConfig)}
-        if unknown:
-            raise ValueError(f"unknown verify config key: {sorted(unknown)[0]!r}")
+        _check_keys(data, {f.name for f in dataclasses.fields(VerifyConfig)}, "verify config")
         return VerifyConfig(**data)
 
     def as_dict(self) -> dict:

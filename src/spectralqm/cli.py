@@ -141,8 +141,7 @@ def _load_verify(args) -> VerifyConfig:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    config = ScenarioConfig.from_dict(_load_json_config(args.config))
-    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+    return ScenarioConfig.from_dict(_load_json_config(args.config))
 
 
 def _compute_verify(config: VerifyConfig, args):
@@ -235,7 +234,7 @@ class _Command:
     load: Callable      # args -> config
     compute: Callable   # (config, args) -> result
     write: Callable     # (out_dir, config, result) -> (output paths, exit code); prints stdout
-    options: tuple = ()  # (flag, type, default) of each flag besides --config/--out/--seed
+    options: tuple = ()  # (flag, type, default) of each flag besides --config/--out
     fields: Callable = lambda config, result, phases: {}  # the command's own manifest fields
 
 
@@ -257,7 +256,7 @@ def _diffract_fields(config: ScenarioConfig, result, phases) -> dict:
 # when they are called, so a replaced module global is the one that runs.
 _COMMANDS = {
     "verify": _Command("run the full check suite", _load_verify, _compute_verify, _write_verify,
-                       options=(("--tolerance-scale", float, None),),
+                       options=(("--seed", int, None), ("--tolerance-scale", float, None)),
                        fields=lambda config, result, phases: {"group_seconds": result[1]}),
     "evolve": _Command("run a scenario and write the trajectory CSV", _load_scenario,
                        lambda config, args: run(config), _write_evolve,
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         # verify runs at its pinned defaults without a config file
         p.add_argument("--config", required=name != "verify", help="JSON config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         for flag, kind, default in command.options:
             p.add_argument(flag, type=kind, default=default)
     return parser

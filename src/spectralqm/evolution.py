@@ -176,7 +176,9 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     is picked once, as the (forward, inverse, expand) triple that the whole
     state, the kick's slab and a row share: the identity in 1-D, FFTs
     along axis 1 (and the identity) on a full 2-D grid, the DCT-I and
-    IDCT-I (and the mirror image of the columns) in the even sector.
+    IDCT-I (and the mirror image of the columns) in the even sector.  Each
+    transform, the identity or one bound by `_dft`, writes into the `out` it
+    is given, so all three run in place through one kick path.
 
     Adjacent half-kicks are merged into one full kick, and split only at the
     last step and at each record point (step % record_every == 0), where the
@@ -194,15 +196,11 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     k_squared = grid.k_squared
     forward = inverse = expand = lambda a, out=None: a  # the identity
     if _mirror_even(u_samples) and _mirror_even(psi0.amps):
-        import scipy.fft as sfft
         width = grid.n[1] // 2 + 1
         amps = np.ascontiguousarray(amps[:, :width])
         u_samples, k_squared = u_samples[:, :width], k_squared[:, :width]
-        forward, inverse = (lambda x, out=None, t=t: t(x, type=1, axis=1, overwrite_x=out is x)
-                            for t in (sfft.dct, sfft.idct))
-
-        def expand(a):
-            return np.concatenate([a, a[..., -2:0:-1]], axis=-1)
+        forward, inverse = (_dft(name, amps, (1,)) for name in ("dct1", "idct1"))
+        expand = lambda a: np.concatenate([a, a[..., -2:0:-1]], axis=-1)
     elif trailing:
         forward, inverse = (_dft(name, amps, trailing) for name in ("fftn", "ifftn"))
 
@@ -225,31 +223,27 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
         return expand(inverse(amps[i:i + 1]))[0]
 
     amps[slab] *= half_kick
-    amps = forward(amps, out=amps)
+    forward(amps, out=amps)
     for step in range(1, steps + 1):
-        amps = drift_forward(amps, out=amps)
+        drift_forward(amps, out=amps)
         amps *= drift
-        amps = drift_inverse(amps, out=amps)
+        drift_inverse(amps, out=amps)
         if on_drift is not None:
             on_drift(row)
         recorded = on_record is not None and step % record_every == 0
         if step < steps and not recorded:
-            if not trailing:
-                amps[slab] *= full_kick
-                continue
-            # the slab's rows are contiguous, so both transforms can run in place
-            kicked = amps[slab]
-            kicked = inverse(kicked, out=kicked)
+            kicked = amps[slab]  # a view of contiguous rows, transformed in place
+            inverse(kicked, out=kicked)
             kicked *= full_kick
-            amps[slab] = forward(kicked, out=kicked)
+            forward(kicked, out=kicked)
             continue
-        amps = inverse(amps, out=amps)
+        inverse(amps, out=amps)
         amps[slab] *= half_kick
         if recorded:
             on_record(step, expand(amps))
         if step < steps:
             amps[slab] *= half_kick
-            amps = forward(amps, out=amps)
+            forward(amps, out=amps)
     return expand(amps)
 
 

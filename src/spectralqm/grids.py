@@ -11,11 +11,11 @@ so that the discrete Parseval identity
 
 holds without correction factors.
 
-Every DFT goes through `_dft`, whose one rule picks the library: a complex128
-transform over one axis calls numpy.fft's pocketfft gufunc with numpy's own
-factor (1/n on the inverse), which gives scipy.fft's bits there, and any other
-(two axes, real input) goes through scipy.fft, imported only then; so a 1-D
-run never loads scipy.fft.  Every transform runs on one worker.
+Every transform goes through `_dft`, whose one rule picks the library: a
+complex128 transform over one axis calls numpy.fft's pocketfft gufunc, the
+DCT-I pair scipy's pocketfft, and any other (two axes, real input) scipy.fft;
+scipy is imported only then, so a 1-D run never loads scipy.fft.  Every
+transform runs on one worker.
 """
 
 from __future__ import annotations
@@ -270,24 +270,35 @@ def _origin_phase(grid: Grid) -> np.ndarray:
 
 
 def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
-    """scipy.fft's `name` (fftn, ifftn, rfftn or irfftn) over `axes`, as a callable.
+    """The transform `name` over `axes`, as a callable: scipy.fft's fftn, ifftn,
+    rfftn or irfftn, or dct1/idct1, its dct/idct of type 1.
 
     It takes arrays like `a` (its dtype, its number of axes and its lengths along
     `axes`), irfftn's shape `s`, and `out`: the input itself, to let the result be
-    written into it (numpy does so, scipy may); either way it returns the result.
+    written into it (numpy and the DCT-I do so, scipy may); either way it returns the result.
     A one-axis complex128 transform calls numpy.fft's gufunc
     (`_pocketfft_umath.fft`/`ifft`) with the factor numpy.fft.ifft passes, 1.0
-    forward and 1/n inverse, so its bits are numpy's and the scaling runs in C.
+    forward and 1/n inverse, so its bits are numpy's (scipy's at powers of two).
+    The DCT-I pair is one `pypocketfft.dct` call over the (..., 2) float64 view
+    of a complex array, which gives scipy.fft's bits for its two parts.
     """
+    if name in ("dct1", "idct1"):
+        from scipy.fft._pocketfft import pypocketfft
+        inorm, axes = (0 if name == "dct1" else 2), [axis % a.ndim for axis in axes]
+
+        def dct(x, out=None):
+            out = np.empty_like(x) if out is None else out
+            pypocketfft.dct(x[..., None].view(np.float64), 1, axes, inorm,
+                            out[..., None].view(np.float64))
+            return out
+        return dct
     if name in ("fftn", "ifftn") and len(axes) == 1 and a.dtype == np.complex128:
-        n = a.shape[axes[0]]
-        # an ifft scales by 1/n, rounded by numpy in double and by scipy from long double
-        if name == "fftn" or float(1 / np.longdouble(n)) == 1 / n:
-            from numpy.fft import _pocketfft_umath as pocketfft
-            ufunc, fct = (pocketfft.fft, 1.0) if name == "fftn" else (pocketfft.ifft, 1 / n)
-            if axes[0] not in (-1, a.ndim - 1):
-                ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
-            return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
+        from numpy.fft import _pocketfft_umath as pocketfft
+        ufunc, fct = ((pocketfft.fft, 1.0) if name == "fftn"
+                      else (pocketfft.ifft, 1 / a.shape[axes[0]]))
+        if axes[0] not in (-1, a.ndim - 1):
+            ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
+        return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
     import scipy.fft as sfft
     transform = partial(getattr(sfft, name), axes=axes)
     return lambda x, out=None, **kwargs: transform(x, overwrite_x=out is x, **kwargs)

@@ -679,7 +679,7 @@ def test_run_all_deterministic():
 
 
 def test_verify_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown verify config key"):
+    with pytest.raises(ValueError, match="unknown key 'seeed' in verify config"):
         VerifyConfig.from_dict({"seeed": 1})
 
 

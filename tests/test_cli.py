@@ -723,18 +723,21 @@ def test_manifest_records_the_run(tmp_path, harmonic_config_path, fast_slit_conf
     config_path = {"verify": None, "evolve": harmonic_config_path,
                    "spectrum": harmonic_config_path, "diffract": fast_slit_config_path}[command]
     out = tmp_path / "out"
-    config = [] if config_path is None else ["--config", config_path]
-    assert main([command, *config, "--seed", "3", "--out", str(out)]) == 0
+    config = ["--seed", "3"] if config_path is None else ["--config", config_path]
+    assert main([command, *config, "--out", str(out)]) == 0
     manifest = json.loads((out / f"{command}_manifest.json").read_text())
     assert manifest["command"] == command
-    assert manifest["seed"] == 3
-    # the resolved config round-trips through the manifest, --seed included
+    # the resolved config round-trips through the manifest, verify's --seed included;
+    # a scenario's seed comes from its config file, and --seed is verify's alone
     if config_path is None:
         expected = {"seed": 3, "tolerance_scale": 1.0}
     else:
         loaded = json.loads(Path(config_path).read_text())
-        expected = spectralqm.ScenarioConfig.from_dict(dict(loaded, seed=3)).as_dict()
+        expected = spectralqm.ScenarioConfig.from_dict(loaded).as_dict()
+        assert main([command, *config, "--seed", "3", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
     assert manifest["config"] == expected
+    assert manifest["seed"] == expected["seed"]
     assert manifest["outputs"]
     for produced in manifest["outputs"]:
         assert Path(produced).exists()

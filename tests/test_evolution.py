@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 import scipy.linalg as sla
 
 from spectralqm import (
@@ -30,7 +29,7 @@ from spectralqm import (
 )
 from spectralqm import evolution
 from spectralqm.evolution import RECORD_BLOCK_BYTES
-from spectralqm.grids import Grid, norm_squared
+from spectralqm.grids import Grid, Wavefunction, norm_squared
 
 
 @pytest.fixture(scope="module")
@@ -294,9 +293,10 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
         amps[30, 5] *= 1.001
     psi0 = packet.with_amps(amps)
     force = [-evolution.spectral_gradient(grid, u, a) for a in range(2)]
-    dct_calls = []
-    dct = sfft.dct
-    monkeypatch.setattr(sfft, "dct", lambda *args, **kw: dct_calls.append(1) or dct(*args, **kw))
+    # the kernel holds the even sector when _mirror_even holds for both u and psi0
+    mirror_even, verdicts = evolution._mirror_even, []
+    monkeypatch.setattr(evolution, "_mirror_even",
+                        lambda a: verdicts.append(mirror_even(a)) or verdicts[-1])
 
     steps, record_every, det_row = 12, 3, 40
     reference = list(plain_strang(psi0, u, 1.0, 1.0, 2e-2, steps))
@@ -314,7 +314,38 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
     # the row is read after the drift, before the kick, which only changes its phase
     for got, want in zip(detector, reference[1:]):
         assert np.max(np.abs(np.abs(got) - np.abs(want[det_row]))) <= 1e-12
-    assert bool(dct_calls) == even_sector
+    assert verdicts and all(verdicts) == even_sector
+
+
+# in 1-D the kick's pair is the identity, lambda a, out=None: a, which _dft does not bind
+@pytest.mark.parametrize("shape, kick_pair", [((64,), []), ((32, 16), ["fftn", "ifftn"]),
+                                              ((32, 16), ["dct1", "idct1"])],
+                         ids=["1d", "full-2d", "even-sector"])
+def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair):
+    """Every transform the kernel binds returns `out` when given out=x, holding f(x)."""
+    bound, dft = [], evolution._dft
+
+    def spy(name, a, axes):
+        bound.append((name, a.shape, axes, dft(name, a, axes)))
+        return bound[-1][-1]
+
+    monkeypatch.setattr(evolution, "_dft", spy)
+    grid = Grid(len(shape), shape, (8.0,) * len(shape), (-4.0,) * len(shape))
+    u = np.zeros(shape)
+    u[10:14] = 1.0  # mirror-even along axis 1 in 2-D
+    amps = np.ones(shape, dtype=complex)
+    if kick_pair == ["fftn", "ifftn"]:
+        amps[:, 1] = 2.0  # breaks the mirror symmetry
+    evolution._strang_propagate(Wavefunction(grid, amps), u, 1.0, 1.0, 1e-2, 3)
+    assert [b[0] for b in bound] == kick_pair + ["fftn", "ifftn"]  # then the drift's pair
+    rng = np.random.default_rng(4)
+    for name, held, axes, f in bound:
+        # the kick transforms the whole state, a slab, one row and an empty slab in place
+        for rows in (held[0], 4, 1, 0) if axes == (1,) else (held[0],):
+            size = (rows, *held[1:])
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            want = f(x)
+            assert f(x, out=x) is x and np.array_equal(x, want), (name, rows)
 
 
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):
