@@ -117,7 +117,7 @@ def check_normalization(trajectory: Trajectory, tolerance: float = 1e-10) -> Che
 
 
 def check_parseval_momentum(psi: Wavefunction, tolerance: float = 1e-10) -> CheckReport:
-    """k-space quadrature of hbar*k |Phi|^2 vs the derivative-operator bracket.
+    """k-space quadrature of k |Phi|^2 vs the derivative-operator bracket, at hbar = 1.
 
     Both routes zero the Nyquist bin (the derivative-operator convention);
     they remain computationally independent: one is a plain weighted sum over
@@ -128,8 +128,7 @@ def check_parseval_momentum(psi: Wavefunction, tolerance: float = 1e-10) -> Chec
     phi = to_momentum(psi)
     dk = grid.k_cell_volume
     density = np.abs(phi.amps) ** 2
-    values = [(float(psi.hbar * np.sum(k * density) * dk),
-               expectation(momentum_op(grid, axis, psi.hbar), psi))
+    values = [(float(np.sum(k * density) * dk), expectation(momentum_op(grid, axis), psi))
               for axis, k in enumerate(grid.k_derivative_meshes)]
     details = "; ".join(
         f"axis{a}: kspace={v[0]:.12e} operator={v[1]:.12e}" for a, v in enumerate(values)
@@ -174,7 +173,7 @@ def _ehrenfest_residuals(trajectory: Trajectory, h: float, stencil: int):
     """
     dx, interior = _central_difference(trajectory.x_mean, h, stencil)
     dp, _ = _central_difference(trajectory.p_mean, h, stencil)
-    return (np.abs(dx - trajectory.p_mean[interior] / trajectory.states[0].mass),
+    return (np.abs(dx - trajectory.p_mean[interior] / trajectory.mass),
             np.abs(dp - trajectory.f_mean[interior]), interior)
 
 
@@ -411,12 +410,11 @@ def check_superposition(
     steps: int,
     tolerance: float = 1e-10,
 ) -> CheckReport:
-    """Evolving the normalized sum equals the normalized sum of evolutions."""
-    hbar, mass = psi1.hbar, psi1.mass
+    """Evolving the normalized sum equals the normalized sum of evolutions, at hbar = m = 1."""
     scale = 1.0 / np.sqrt(norm_squared(psi1.with_amps(psi1.amps + psi2.amps)))
 
     def final(psi):
-        return split_step(psi, u_samples, mass, hbar, dt, steps, steps,
+        return split_step(psi, u_samples, 1.0, 1.0, dt, steps, steps,
                           store_states=False).states[-1].amps
 
     evolved_sum = final(psi1.with_amps(scale * (psi1.amps + psi2.amps)))
@@ -448,15 +446,13 @@ def check_gauge_shift(
 ) -> CheckReport:
     """Adding the constant GAUGE_SHIFT to the potential only changes the global phase.
 
-    Expectation trajectories and Ehrenfest residuals must be unchanged.
+    Expectation trajectories and Ehrenfest residuals must be unchanged.  Runs
+    at hbar = m = 1.
     """
-    hbar, mass = psi0.hbar, psi0.mass
 
     def run(u):
-        return split_step(
-            psi0, u, mass, hbar, dt, steps, record_every,
-            force_samples=force_samples, store_states=False,
-        )
+        return split_step(psi0, u, 1.0, 1.0, dt, steps, record_every,
+                          force_samples=force_samples, store_states=False)
 
     base = run(u_samples)
     shifted = run(u_samples + GAUGE_SHIFT)
@@ -620,7 +616,7 @@ def _quartic_group(config: VerifyConfig) -> list[CheckReport]:
     """Both Ehrenfest laws in the quartic well."""
     grid = _well_grid()
     x = grid.axis_points(0)
-    psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5, 1.0, 1.0)
+    psi0 = gaussian_packet(grid, 1.0, 0.0, 0.5)
     traj = split_step(psi0, 0.25 * x**4, 1.0, 1.0, WELL_DT, 6290, WELL_RECORD_EVERY,
                       force_samples=[-(x**3)], store_states=False)
     return [check_ehrenfest_velocity(traj, 1e-4), check_ehrenfest_force(traj, 1e-4)]
@@ -639,7 +635,7 @@ def _commutator_group(config: VerifyConfig) -> list[CheckReport]:
     """Commutator system on interior Gaussian states."""
     grid = make_grid(1, 256, 40.0, -20.0)
     x = grid.axis_points(0)
-    states = [gaussian_packet(grid, c, p, 1.0, 1.0, 1.0)
+    states = [gaussian_packet(grid, c, p, 1.0)
               for c, p in zip(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 5))]
     return [check_commutator_system(grid, 0.5 * x**2, 1.0, 1.0, states, force_samples=-x,
                                     tolerance=1e-6)]

@@ -7,7 +7,7 @@ roundoff and the global error is O(dt^2).  Between kicks it holds the state
 in a mixed representation, and a mirror-even 2-D run in its even sector
 (see `_strang_propagate`); callers still see full-grid position-space
 states.  The evolution operator is a plain unitary matrix, a time-ordered
-product of slices exp(-i H dt / hbar), each through a Hermitian
+product of slices exp(-i H dt) (hbar = 1), each through a Hermitian
 eigendecomposition (one stacked `eigh` per block of slices), which keeps it
 unitary to roundoff.  The spectrum of a real symmetric grid operator such as
 `hamiltonian(grid, U)` comes from a preconditioned block eigensolver (LOBPCG)
@@ -68,7 +68,7 @@ RECORD_BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states plus per-record expectation values.
+    """Recorded states plus per-record expectation values, at the run's mass.
 
     Vector observables (x_mean, p_mean, f_mean) have one column per grid
     axis; norm, u_mean, and energy are scalars per record.
@@ -82,6 +82,7 @@ class Trajectory:
     u_mean: np.ndarray
     f_mean: np.ndarray
     energy: np.ndarray
+    mass: float
 
     def __post_init__(self):
         n = len(self.times)
@@ -272,6 +273,8 @@ def split_step(
     """
     if not (np.isfinite(float(dt)) and dt > 0):  # numpy cannot take an int beyond int64
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (hbar > 0 and mass > 0):
+        raise ValueError(f"hbar and mass must be positive, got hbar={hbar!r}, mass={mass!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if record_every < 1:
@@ -302,7 +305,7 @@ def split_step(
     def record(step, amps):
         index = step // record_every
         if store_states:
-            states.append(Wavefunction(grid, amps.copy(), hbar=hbar, mass=mass))
+            states.append(Wavefunction(grid, amps.copy()))
         row = index % len(block)
         block[row] = amps
         if row == len(block) - 1 or index == len(times) - 1:
@@ -314,7 +317,7 @@ def split_step(
     amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record,
                              finite=[(kinetic_scale, "energy prefactor hbar^2 / (2 mass)")])
     if not store_states:
-        states = [Wavefunction(grid, amps, hbar=hbar, mass=mass)]
+        states = [Wavefunction(grid, amps)]
 
     # |fft|^2 * dx^dim / n_total equals |Phi|^2 dk^dim for the library transform.
     x_moments *= grid.cell_volume
@@ -329,6 +332,7 @@ def split_step(
         u_mean=u_mean,
         f_mean=x_moments[:, 2 + dim:],
         energy=kinetic_scale * k_moments[:, dim] + u_mean,
+        mass=mass,
     )
 
 
@@ -354,18 +358,17 @@ def evolution_operator(
     t1: float,
     t2: float,
     n_slices: int = 1,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Two-time evolution operator U(t1, t2) as a time-ordered product of midpoint slices.
 
-    Each slice contributes exp(-i H(t_mid) dt / hbar); later slices multiply
+    Each slice contributes exp(-i H(t_mid) dt) (hbar = 1); later slices multiply
     from the left, so states compose as psi(t2) = U(t1,t2) psi(t1) and
     U(t1,t3) = U(t2,t3) @ U(t1,t2) holds exactly when slice boundaries align.
     t2 < t1 runs the slices backward, realizing the inverse operator.
 
     The slices go a block of RECORD_BLOCK_BYTES of matrices at a time.  Every
     slice's H is checked for Hermiticity; the block's distinct ones go through
-    one stacked `eigh` and one stacked product (V e^{-i lambda dt/hbar}) V^H.
+    one stacked `eigh` and one stacked product (V e^{-i lambda dt}) V^H.
     A slice whose H equals the previous slice's bit for bit reuses its
     exponential, so a constant H costs one decomposition per block.
     """
@@ -386,7 +389,7 @@ def evolution_operator(
                 distinct.append(h.copy())  # h_of_t may refill one buffer
             which.append(len(distinct) - 1)
         evals, vecs = np.linalg.eigh(np.stack(distinct))
-        phases = np.exp((-1j * dt / hbar) * evals)
+        phases = np.exp((-1j * dt) * evals)
         slices = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
         for k in which:
             u = slices[k] @ u
@@ -397,14 +400,14 @@ def extract_generator(
     h_of_t: Callable[[float], np.ndarray],
     t: float,
     delta: float = 1e-4,
-    hbar: float = 1.0,
     n_slices: int = 16,
 ) -> np.ndarray:
     """Recover the Hermitian generator matrix from the evolution operator family.
 
-    Central difference in the second time argument, with the family started at 0:
+    Central difference in the second time argument, with the family started at 0
+    and hbar = 1:
 
-        B = i hbar * [U(0, t+delta) - U(0, t-delta)] / (2 delta) * U(0, t)^-1
+        B = i * [U(0, t+delta) - U(0, t-delta)] / (2 delta) * U(0, t)^-1
 
     with U^-1 = U^dagger.  The three operators are built on an aligned slice
     grid (the long leg is shared), so the long-leg discretization error
@@ -415,11 +418,11 @@ def extract_generator(
     if t - delta < 0.0:
         raise ValueError("need t - delta >= 0")
     leg_slices = 4
-    u_minus = evolution_operator(h_of_t, 0.0, t - delta, n_slices, hbar)
-    u_center = evolution_operator(h_of_t, t - delta, t, leg_slices, hbar) @ u_minus
-    u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices, hbar) @ u_center
+    u_minus = evolution_operator(h_of_t, 0.0, t - delta, n_slices)
+    u_center = evolution_operator(h_of_t, t - delta, t, leg_slices) @ u_minus
+    u_plus = evolution_operator(h_of_t, t, t + delta, leg_slices) @ u_center
     diff = (u_plus - u_minus) / (2.0 * delta)
-    return 1j * hbar * diff @ u_center.conj().T
+    return 1j * diff @ u_center.conj().T
 
 
 def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:

@@ -1,7 +1,8 @@
 """Periodic sampling grids, wavefunctions, and Parseval-preserving transforms.
 
-Everything here is a pure function of immutable values.  The transform pair
-uses the convention
+Everything here is a pure function of immutable values, and a state is its
+grid and amplitudes: hbar and mass belong to the calls that use them.  The
+transform pair uses the convention
 
     Phi_m = dx^dim / (2*pi)^(dim/2) * sum_j psi_j exp(-i k_m . x_j)
 
@@ -162,23 +163,19 @@ def make_grid(dim: int, n, length, origin) -> Grid:
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Complex amplitudes on a grid, with the unit system carried along."""
+    """Complex amplitudes on a grid; it carries no units."""
 
     grid: Grid
     amps: np.ndarray
-    hbar: float = 1.0
-    mass: float = 1.0
 
     def __post_init__(self):
         if self.amps.shape != self.grid.shape:
             raise ValueError(
                 f"amps shape {self.amps.shape} does not match grid shape {self.grid.shape}"
             )
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
 
     def with_amps(self, amps: np.ndarray) -> "Wavefunction":
-        return Wavefunction(self.grid, amps, self.hbar, self.mass)
+        return Wavefunction(self.grid, amps)
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,6 @@ class MomentumAmplitudes:
 
     grid: Grid
     amps: np.ndarray
-    hbar: float = 1.0
-    mass: float = 1.0
 
 
 def norm_squared(psi: Wavefunction) -> float:
@@ -210,20 +205,22 @@ def inner(psi: Wavefunction, phi: Wavefunction) -> complex:
     return complex(np.vdot(psi.amps, phi.amps) * psi.grid.cell_volume)
 
 
-def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 1.0) -> Wavefunction:
+def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunction:
     """Normalized Gaussian packet exp(-(x-x0)^2/(4 sigma^2) + i p0.x/hbar).
 
-    sigma is the position standard deviation per axis.  Warns if the 5-sigma
-    support leaks outside the periodic box, since every identity downstream
-    assumes a negligible boundary amplitude.  Raises ValueError when an
-    amplitude is not finite (p0 x / hbar or the envelope overflows).
+    sigma is the position standard deviation per axis, and hbar turns the
+    momentum p0 into the wavenumber p0/hbar.  Warns if the 5-sigma support
+    leaks outside the periodic box, since every identity downstream assumes
+    a negligible boundary amplitude.  Raises ValueError when sigma or hbar is
+    not positive or an amplitude is not finite (p0 x / hbar or the envelope
+    overflows).
     """
     x0s = _per_axis(x0, grid.dim, "x0")
     p0s = _per_axis(p0, grid.dim, "p0")
     sigmas = _per_axis(sigma, grid.dim, "sigma")
-    for s in sigmas:
-        if not s > 0:
-            raise ValueError(f"sigma must be positive, got {s}")
+    for name, value in [*(("sigma", s) for s in sigmas), ("hbar", hbar)]:
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     for a, (c, s) in enumerate(zip(x0s, sigmas)):
         lo, hi = grid.origin[a], grid.origin[a] + grid.length[a]
         if c - 5 * s < lo or c + 5 * s > hi:
@@ -240,10 +237,10 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0, mass: float = 
         cause = "p0 x / hbar" if not np.isfinite(phase).all() else "(x - x0)^2 / (4 sigma^2)"
         raise ValueError(f"gaussian packet amplitudes are not finite: {cause} overflows "
                          f"(p0={p0!r}, hbar={hbar!r}, sigma={sigma!r})")
-    return normalize(Wavefunction(grid, amps, hbar=hbar, mass=mass))
+    return normalize(Wavefunction(grid, amps))
 
 
-def plane_wave(grid: Grid, mode_index, hbar: float = 1.0, mass: float = 1.0) -> Wavefunction:
+def plane_wave(grid: Grid, mode_index) -> Wavefunction:
     """Single harmonic exp(i k_m . x)/sqrt(volume), an exact momentum eigenstate."""
     modes = _per_axis(mode_index, grid.dim, "mode_index")
     phase = np.zeros(grid.shape)
@@ -255,13 +252,13 @@ def plane_wave(grid: Grid, mode_index, hbar: float = 1.0, mass: float = 1.0) -> 
         k = TWO_PI * m / grid.length[a]
         phase = phase + k * grid.meshes[a]
     amps = np.exp(1j * phase) / np.sqrt(np.prod(grid.length))
-    return Wavefunction(grid, amps.astype(complex), hbar=hbar, mass=mass)
+    return Wavefunction(grid, amps.astype(complex))
 
 
-def random_state(grid: Grid, rng: np.random.Generator, hbar: float = 1.0, mass: float = 1.0) -> Wavefunction:
+def random_state(grid: Grid, rng: np.random.Generator) -> Wavefunction:
     """Normalized state with iid complex Gaussian amplitudes (test fodder)."""
     amps = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return normalize(Wavefunction(grid, amps, hbar=hbar, mass=mass))
+    return normalize(Wavefunction(grid, amps))
 
 
 def _origin_phase(grid: Grid) -> np.ndarray:
@@ -309,7 +306,7 @@ def to_momentum(psi: Wavefunction) -> MomentumAmplitudes:
     grid = psi.grid
     scale = grid.cell_volume / TWO_PI ** (grid.dim / 2.0)
     spec = _dft("fftn", psi.amps, tuple(range(grid.dim)))(psi.amps)
-    return MomentumAmplitudes(grid, spec * (scale * _origin_phase(grid)), psi.hbar, psi.mass)
+    return MomentumAmplitudes(grid, spec * (scale * _origin_phase(grid)))
 
 
 def from_momentum(phi: MomentumAmplitudes) -> Wavefunction:
@@ -318,7 +315,7 @@ def from_momentum(phi: MomentumAmplitudes) -> Wavefunction:
     scale = grid.cell_volume / TWO_PI ** (grid.dim / 2.0)
     amps = phi.amps * np.conj(_origin_phase(grid)) / scale
     amps = _dft("ifftn", amps, tuple(range(grid.dim)))(amps, out=amps)
-    return Wavefunction(grid, amps, hbar=phi.hbar, mass=phi.mass)
+    return Wavefunction(grid, amps)
 
 
 def momentum_density_norm(phi: MomentumAmplitudes) -> float:

@@ -209,9 +209,7 @@ def build(config: ScenarioConfig) -> tuple[Grid, np.ndarray, Wavefunction]:
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
     u = potential_samples(grid, config.potential)
     init = config.initial
-    psi0 = gaussian_packet(
-        grid, init["x0"], init["p0"], init["sigma"], config.hbar, config.mass
-    )
+    psi0 = gaussian_packet(grid, init["x0"], init["p0"], init["sigma"], config.hbar)
     return grid, u, psi0
 
 
@@ -409,7 +407,9 @@ def reference_two_slit_config(momentum_scale: float = 1.0) -> ScenarioConfig:
     wrapping through the periodic box, only reaches it at t ~ 2.9e-4, so
     steps * dt = 2.8e-4 integrates the whole pattern uncontaminated.
     Scaling the momentum leaves the geometry fixed: dt shrinks with
-    1/scale so the same step count covers the faster transit.
+    1/scale so the same 1400 steps cover the faster transit.  They hold the
+    Nyquist drift phase hbar k_max^2 dt / 2m to 1.47 rad at 1x; 3500 steps of
+    dt / 2.5 move the intensity by 1.7e-4 (relative L2), the fringes by 2.5e-5.
     """
     p0 = 1072.0 * momentum_scale
     kinetic = 0.5 * 1072.0**2  # barrier pinned to the reference packet energy
@@ -430,8 +430,8 @@ def reference_two_slit_config(momentum_scale: float = 1.0) -> ScenarioConfig:
             "p0": [p0, 0.0],
             "sigma": [0.018, 0.02],
         },
-        dt=8.0e-8 / momentum_scale,
-        steps=3500,
-        record_every=3500,
+        dt=2.0e-7 / momentum_scale,
+        steps=1400,
+        record_every=1400,
         seed=0,
     )

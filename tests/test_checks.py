@@ -171,6 +171,18 @@ def test_ehrenfest_quartic(harmonic):
     assert check_ehrenfest_force(traj, tolerance=1e-4).passed
 
 
+def test_ehrenfest_velocity_reads_the_runs_mass(harmonic):
+    # the state carries no mass: d<x>/dt = <p>/m takes m from the run
+    grid, u, force = harmonic
+    psi0 = gaussian_packet(grid, 1.0, 0.0, 0.6)
+    traj = split_step(psi0, u, 2.0, 1.0, 1e-3, 3000, 10, force_samples=[force],
+                      store_states=False)
+    assert traj.mass == 2.0
+    assert check_ehrenfest_velocity(traj, tolerance=1e-5).passed
+    report = check_ehrenfest_velocity(dataclasses.replace(traj, mass=1.0), tolerance=1e-5)
+    assert not report.passed and report.residual > 1e-2
+
+
 def test_ehrenfest_requires_enough_records(harmonic):
     grid, u, force = harmonic
     psi0 = gaussian_packet(grid, 1.0, 0.0, 1.0)

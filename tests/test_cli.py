@@ -166,12 +166,12 @@ def _scenario():
 
 def _synthetic_trajectory(records: int) -> evolution.Trajectory:
     rng = np.random.default_rng(records)
-    psi = gaussian_packet(make_grid(1, 16, 8.0, -4.0), 0.0, 0.0, 0.5, mass=2.0)
+    psi = gaussian_packet(make_grid(1, 16, 8.0, -4.0), 0.0, 0.0, 0.5)
     return evolution.Trajectory(
         times=np.arange(records) * 1e-3, states=(psi,), norm=1.0 + rng.normal(0.0, 1e-14, records),
         x_mean=rng.normal(size=(records, 1)), p_mean=rng.normal(size=(records, 1)),
         u_mean=rng.random(records), f_mean=rng.normal(size=(records, 1)),
-        energy=rng.random(records))
+        energy=rng.random(records), mass=2.0)
 
 
 @pytest.mark.parametrize("records", [1, 2, 3, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,

@@ -115,6 +115,11 @@ def test_split_step_rejects_bad_arguments(harmonic_setup):
     for dt in (np.nan, np.inf):
         with pytest.raises(ValueError, match="dt"):
             split_step(psi0, u, 1.0, 1.0, dt, 10)
+    # a negative unit would run a finite, wrong evolution, stored or streamed
+    for mass, hbar in ((-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (1.0, 0.0), (np.nan, 1.0)):
+        for store_states in (True, False):
+            with pytest.raises(ValueError, match="hbar and mass must be positive"):
+                split_step(psi0, u, mass, hbar, 1e-3, 10, store_states=store_states)
 
 
 @pytest.mark.parametrize("mass, hbar, phase", [(1.0, 1e-320, "kick"), (1e-320, 1.0, "drift")],
@@ -195,7 +200,7 @@ def assert_same_records(a, b):
 def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every):
     # merged kicks are split again at record points and at the last step
     grid, u, force = harmonic_setup
-    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8, mass=2.0)
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
     dt, steps = 1e-2, 60
     reference = list(plain_strang(psi0, u, 2.0, 1.0, dt, steps))
     traj = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force])
@@ -375,6 +380,7 @@ def test_trajectory_validates_times():
                 u_mean=np.zeros(2),
                 f_mean=np.zeros((2, 1)),
                 energy=np.zeros(2),
+                mass=1.0,
             )
 
 

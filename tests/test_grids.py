@@ -1,5 +1,7 @@
 """Grids, wavefunctions, inner products, and the transform pair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -228,12 +230,20 @@ def test_wavefunction_shape_mismatch_rejected(wide_grid):
         Wavefunction(wide_grid, np.zeros(7, dtype=complex))
 
 
-def test_momentum_amplitudes_preserve_units(wide_grid):
-    psi = gaussian_packet(wide_grid, 0.0, 1.0, 1.0, hbar=2.0, mass=3.0)
+def test_states_hold_only_grid_and_amps(wide_grid):
+    # hbar reaches a packet only through its wavenumber p0 / hbar
+    psi = gaussian_packet(wide_grid, 0.0, 2.0, 1.0, hbar=2.0)
+    assert np.array_equal(psi.amps, gaussian_packet(wide_grid, 0.0, 1.0, 1.0).amps)
     phi = to_momentum(psi)
     assert isinstance(phi, MomentumAmplitudes)
-    back = from_momentum(phi)
-    assert back.hbar == 2.0 and back.mass == 3.0
+    for state in (psi, phi, from_momentum(phi)):
+        assert [f.name for f in dataclasses.fields(state)] == ["grid", "amps"]
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0])
+def test_gaussian_packet_refuses_a_nonpositive_hbar(wide_grid, hbar):
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        gaussian_packet(wide_grid, 0.0, 1.0, 1.0, hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
