@@ -35,6 +35,8 @@ from .operators import (
     SpectralReal,
     _as_matrix,
     hermiticity_defect,
+    kinetic_op,
+    momentum_op,
     spectral_gradient,
     to_dense,
 )
@@ -155,8 +157,8 @@ def _mirror_even(a: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[1] % 2 == 0 and np.array_equal(a[:, 1:], a[:, :0:-1])
 
 
-def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
-                      on_record=None, on_drift=None, finite=()) -> np.ndarray:
+def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=None,
+                      on_record=None, on_drift=None) -> np.ndarray:
     """Strang steps on a copy of psi0.amps, done in place; returns the final amplitudes.
 
     Between kicks the state is held in the mixed representation: transformed
@@ -186,38 +188,38 @@ def _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every=None,
     whole state returns to position space and on_record(step, amps) sees it
     on the full grid.  on_drift(row) runs after every drift, before the kick;
     row(i) returns position-space axis-0 row i on the full grid as a new
-    array.  The returned amplitudes are on the full grid too.  A kick or drift
-    phase that overflows (a tiny hbar or mass), or a value of the caller's
-    `finite` (value, name) pairs that is not finite, raises ValueError before
-    any step.
+    array.  The returned amplitudes are on the full grid too.  kinetic is T,
+    the samples of `kinetic_op`; the drift phase is T dt / hbar.  A kick or
+    drift phase that overflows raises ValueError before any step.  T is let go
+    before the state is copied: a caller that keeps no reference never holds both.
     """
     grid = psi0.grid
     trailing = tuple(range(1, grid.dim))
-    amps = psi0.amps.astype(complex)
-    k_squared = grid.k_squared
-    forward = inverse = expand = lambda a, out=None: a  # the identity
-    if _mirror_even(u_samples) and _mirror_even(psi0.amps):
-        width = grid.n[1] // 2 + 1
-        amps = np.ascontiguousarray(amps[:, :width])
-        u_samples, k_squared = u_samples[:, :width], k_squared[:, :width]
-        forward, inverse = (_dft(name, amps, (1,)) for name in ("dct1", "idct1"))
-        expand = lambda a: np.concatenate([a, a[..., -2:0:-1]], axis=-1)
-    elif trailing:
-        forward, inverse = (_dft(name, amps, trailing) for name in ("fftn", "ifftn"))
+    even = _mirror_even(u_samples) and _mirror_even(psi0.amps)
+    width = grid.n[1] // 2 + 1 if even else None  # the columns held
+    u_samples, kinetic = u_samples[..., :width], kinetic[..., :width]
 
     rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
     slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         kick_phase = -1j * u_samples[slab] * dt / (2.0 * hbar)
-        drift_phase = -1j * hbar * k_squared * dt / (2.0 * mass)
+        drift_phase = -1j * kinetic * dt / hbar
     for phase, name in ((kick_phase, "kick phase U dt / (2 hbar)"),
-                        (drift_phase, "drift phase hbar |k|^2 dt / (2 mass)"), *finite):
+                        (drift_phase, "drift phase T dt / hbar")):
         if not np.isfinite(phase).all():
-            raise ValueError(f"the {name} overflows for hbar={hbar!r}, mass={mass!r}, dt={dt!r}")
+            raise ValueError(f"the {name} overflows for hbar={hbar!r}, dt={dt!r}")
+    del kinetic
     half_kick = np.exp(kick_phase, out=kick_phase)
     full_kick = half_kick * half_kick
     drift = np.exp(drift_phase, out=drift_phase)
 
+    amps = np.array(psi0.amps[..., :width], dtype=complex)
+    forward = inverse = expand = lambda a, out=None: a  # the identity
+    if even:
+        forward, inverse = (_dft(name, amps, (1,)) for name in ("dct1", "idct1"))
+        expand = lambda a: np.concatenate([a, a[..., -2:0:-1]], axis=-1)
+    elif trailing:
+        forward, inverse = (_dft(name, amps, trailing) for name in ("fftn", "ifftn"))
     drift_forward, drift_inverse = (_dft(name, amps, (0,)) for name in ("fftn", "ifftn"))
 
     def row(i):
@@ -265,7 +267,8 @@ def split_step(
     k-space, half-kick.  Records (norm, <x>, <p>, <U>, <F>, <H>) at t=0 and
     every `record_every` steps.  Recorded states fill a block of about
     RECORD_BLOCK_BYTES, reduced at once when full and at the last record:
-    |psi|^2 against 1, x_a, U, F_a, then one batched FFT and |psi_k|^2 against k_a, |k|^2.
+    |psi|^2 against 1, x_a, U, F_a, then one batched FFT and |psi_k|^2 against
+    the samples of `momentum_op` p_a and of `kinetic_op` T, which the drift reads.
 
     force_samples: per-axis -dU/dx arrays; computed by spectral
     differentiation of u_samples when omitted.  Supply the analytic
@@ -273,8 +276,6 @@ def split_step(
     """
     if not (np.isfinite(float(dt)) and dt > 0):  # numpy cannot take an int beyond int64
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (hbar > 0 and mass > 0):
-        raise ValueError(f"hbar and mass must be positive, got hbar={hbar!r}, mass={mass!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if record_every < 1:
@@ -283,17 +284,16 @@ def split_step(
     u_samples = np.asarray(u_samples, dtype=float)
     if u_samples.shape != grid.shape:
         raise ValueError("potential samples shape must match grid shape")
+    kinetic = kinetic_op(grid, mass, hbar).samples
 
     if force_samples is None:
         force_samples = [-spectral_gradient(grid, u_samples, a) for a in range(grid.dim)]
     elif grid.dim == 1 and np.ndim(force_samples) == 1:
         force_samples = [force_samples]
     force_samples = [np.asarray(f, dtype=float) for f in force_samples]
-    with np.errstate(over="ignore"):
-        kinetic_scale = np.float64(hbar) ** 2 / (2.0 * mass)
     dim = grid.dim
     x_weights = [None, *grid.meshes, u_samples, *force_samples]
-    k_weights = [*grid.k_derivative_meshes, grid.k_squared]
+    k_weights = [*(momentum_op(grid, a, hbar).samples for a in range(dim)), kinetic]
     times = np.arange(0, steps + 1, record_every) * float(dt)
     x_moments = np.empty((len(times), len(x_weights)))
     k_moments = np.empty((len(times), len(k_weights)))
@@ -314,8 +314,7 @@ def split_step(
             k_moments[start:index + 1] = _weighted_sums(block_fft(rows, out=rows), k_weights)
 
     record(0, psi0.amps)
-    amps = _strang_propagate(psi0, u_samples, mass, hbar, dt, steps, record_every, record,
-                             finite=[(kinetic_scale, "energy prefactor hbar^2 / (2 mass)")])
+    amps = _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every, record)
     if not store_states:
         states = [Wavefunction(grid, amps)]
 
@@ -328,10 +327,10 @@ def split_step(
         states=tuple(states),
         norm=x_moments[:, 0],
         x_mean=x_moments[:, 1:1 + dim],
-        p_mean=hbar * k_moments[:, :dim],
+        p_mean=k_moments[:, :dim],
         u_mean=u_mean,
         f_mean=x_moments[:, 2 + dim:],
-        energy=kinetic_scale * k_moments[:, dim] + u_mean,
+        energy=k_moments[:, dim] + u_mean,
         mass=mass,
     )
 

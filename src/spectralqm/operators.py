@@ -45,6 +45,12 @@ class LinearOperator:
     Subclasses carry `label` and `grid` fields; every operator acts on one grid.
     """
 
+    def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise ValueError(f"{self.label}: samples must be real")
+        if self.samples.shape != self.grid.shape:
+            raise ValueError(f"{self.label}: samples shape must match grid shape")
+
     def _apply_amps(self, amps: np.ndarray) -> np.ndarray:
         """op applied over the trailing grid axes of amps; leading axes are a batch."""
         raise NotImplementedError
@@ -62,12 +68,6 @@ class DiagonalReal(LinearOperator):
     samples: np.ndarray
     label: str = "diagonal"
 
-    def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise ValueError(f"{self.label}: diagonal samples must be real")
-        if self.samples.shape != self.grid.shape:
-            raise ValueError(f"{self.label}: samples shape must match grid shape")
-
     def _apply_amps(self, amps):
         return self.samples * amps
 
@@ -79,12 +79,6 @@ class SpectralReal(LinearOperator):
     grid: Grid
     samples: np.ndarray
     label: str = "spectral"
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise ValueError(f"{self.label}: spectral samples must be real")
-        if self.samples.shape != self.grid.shape:
-            raise ValueError(f"{self.label}: samples shape must match k-grid shape")
 
     def _apply_amps(self, amps):
         # The origin phases of the forward/inverse transforms cancel for a
@@ -148,6 +142,8 @@ def momentum_op(grid: Grid, axis: int = 0, hbar: float = 1.0) -> SpectralReal:
     The Nyquist bin is zeroed (ambiguous sign on a real grid); states used in
     tight-tolerance checks are expected to carry negligible Nyquist content.
     """
+    if not hbar > 0:
+        raise ValueError(f"hbar must be positive, got hbar={hbar!r}")
     return SpectralReal(grid, hbar * grid.k_derivative_meshes[axis], label=f"p[{axis}]")
 
 
@@ -182,9 +178,12 @@ def force_op(grid: Grid, u_samples: np.ndarray, axis: int = 0,
 
 
 def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal:
-    """hbar^2 k^2 / (2 m), with k^2 from :attr:`Grid.k_squared`; refused unless finite."""
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    """T = hbar^2 |k|^2 / (2 mass), which the drift and the records read.
+
+    Refused unless hbar and mass are positive and every sample is finite.
+    """
+    if not (hbar > 0 and mass > 0):
+        raise ValueError(f"hbar and mass must be positive, got hbar={hbar!r}, mass={mass!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.float64(hbar) ** 2 * grid.k_squared / (2.0 * mass)
     if not np.isfinite(samples).all():

@@ -15,6 +15,7 @@ import numpy as np
 
 from .grids import Grid, Wavefunction, gaussian_packet, make_grid
 from .evolution import Trajectory, _strang_propagate, split_step
+from .operators import kinetic_op
 
 __all__ = [
     "ScenarioConfig",
@@ -346,8 +347,8 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     def accumulate(row):
         intensity[:] += np.abs(row(det_col)) ** 2 * config.dt
 
-    amps = _strang_propagate(psi0, u, config.mass, config.hbar, config.dt, config.steps,
-                             on_drift=accumulate)
+    amps = _strang_propagate(psi0, u, kinetic_op(grid, config.mass, config.hbar).samples,
+                             config.hbar, config.dt, config.steps, on_drift=accumulate)
 
     dv = grid.cell_volume
     final_norm = float(np.sum(np.abs(amps) ** 2) * dv)

@@ -824,10 +824,11 @@ OVERFLOWING_INPUTS = {
 ])
 def test_overflowing_unit_is_usage_error(tmp_path, capsys, harmonic_config_path,
                                          fast_slit_config_path, command, unit):
-    # 1e-320 overflows U dt / hbar, |k|^2 / mass or p0 x / hbar to inf, whose exp is NaN.
+    # 1e-320 overflows U dt / hbar, the kinetic samples hbar^2 |k|^2 / (2 mass) or
+    # p0 x / hbar to inf, whose exp is NaN.
     # spectrum with hbar 1e-320 is absent: hbar^2 |k|^2 underflows to an exact 0,
     # the correctly rounded value, so nothing non-finite arises.  hbar 1e200
-    # overflows hbar^2 (kinetic samples, energy prefactor); omega 1e200 and a 1e308
+    # overflows hbar^2 in the kinetic samples; omega 1e200 and a 1e308
     # overflow the potential samples.  On a box of length 3, a 1e308 leaves the
     # potential a x^4 / 4 finite but overflows the force a x^3, which only evolve uses.
     # A 2-D box of length 1e308 has a cell volume dx^2 that overflows to inf

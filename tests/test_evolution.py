@@ -18,6 +18,7 @@ from spectralqm import (
     gaussian_packet,
     hamiltonian,
     inner,
+    kinetic_op,
     make_grid,
     momentum_op,
     position_op,
@@ -122,15 +123,17 @@ def test_split_step_rejects_bad_arguments(harmonic_setup):
                 split_step(psi0, u, mass, hbar, 1e-3, 10, store_states=store_states)
 
 
-@pytest.mark.parametrize("mass, hbar, phase", [(1.0, 1e-320, "kick"), (1e-320, 1.0, "drift")],
+# a mass of 1e-320 overflows T = hbar^2 |k|^2 / (2 mass) itself, before any phase is formed
+@pytest.mark.parametrize("mass, hbar, refusal", [(1.0, 1e-320, "the kick phase .* overflows"),
+                                                 (1e-320, 1.0, "kinetic samples .* overflow")],
                          ids=["hbar", "mass"])
-def test_split_step_refuses_an_overflowing_phase(harmonic_setup, mass, hbar, phase):
+def test_split_step_refuses_an_overflowing_phase(harmonic_setup, mass, hbar, refusal):
     # exp of an infinite phase is NaN, which every later step and record would carry
     grid, u, force = harmonic_setup
     psi0 = gaussian_packet(grid, 1.0, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"the {phase} phase .* overflows"):
+        with pytest.raises(ValueError, match=refusal):
             split_step(psi0, u, mass, hbar, 1e-3, 10, force_samples=[force])
 
 
@@ -196,19 +199,22 @@ def assert_same_records(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-@pytest.mark.parametrize("record_every", [1, 7, 60])
-def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every):
-    # merged kicks are split again at record points and at the last step
+@pytest.mark.parametrize("record_every, hbar", [
+    pytest.param(n, hbar, id=str(n) if hbar == 1.0 else f"{n}-hbar{hbar}")
+    for hbar in (1.0, 0.5) for n in (1, 7, 60)])
+def test_split_step_matches_plain_strang_loop(harmonic_setup, record_every, hbar):
+    # merged kicks are split again at record points and at the last step; off hbar = 1 the
+    # records' weights p = hbar k and T = hbar^2 |k|^2 / (2 m) differ from k and |k|^2 / (2 m)
     grid, u, force = harmonic_setup
     psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
     dt, steps = 1e-2, 60
-    reference = list(plain_strang(psi0, u, 2.0, 1.0, dt, steps))
-    traj = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force])
+    reference = list(plain_strang(psi0, u, 2.0, hbar, dt, steps))
+    traj = split_step(psi0, u, 2.0, hbar, dt, steps, record_every, force_samples=[force])
     assert len(traj.states) == steps // record_every + 1
     for t, state in zip(traj.times, traj.states):
         assert np.max(np.abs(state.amps - reference[round(t / dt)])) <= 1e-12
-    assert_records_match(traj, reference[::record_every], u, [force], 2.0, 1.0)
-    streamed = split_step(psi0, u, 2.0, 1.0, dt, steps, record_every, force_samples=[force],
+    assert_records_match(traj, reference[::record_every], u, [force], 2.0, hbar)
+    streamed = split_step(psi0, u, 2.0, hbar, dt, steps, record_every, force_samples=[force],
                           store_states=False)
     assert np.max(np.abs(streamed.states[-1].amps - reference[-1])) <= 1e-12
     assert_same_records(streamed, traj)
@@ -269,7 +275,7 @@ def test_split_step_2d_slab_kick_matches_plain_strang_loop(rows, roll):
     for state, want in zip(traj.states, reference[::record_every]):
         assert np.max(np.abs(state.amps - want)) <= 1e-12
     assert_records_match(traj, reference[::record_every], u, force, 1.0, 1.0)
-    final = evolution._strang_propagate(psi0, u, 1.0, 1.0, 2e-2, steps)
+    final = evolution._strang_propagate(psi0, u, kinetic_op(grid).samples, 1.0, 2e-2, steps)
     assert np.max(np.abs(final - reference[-1])) <= 1e-12
 
 
@@ -313,7 +319,7 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
     # <y>, <p_y> and <F_y> vanish on a y-even state, so they are held to 1e-12 absolute
     assert_records_match(traj, reference[::record_every], u, force, 1.0, 1.0, atol=1e-12)
     detector = []
-    final = evolution._strang_propagate(psi0, u, 1.0, 1.0, 2e-2, steps,
+    final = evolution._strang_propagate(psi0, u, kinetic_op(grid).samples, 1.0, 2e-2, steps,
                                         on_drift=lambda row: detector.append(row(det_row)))
     assert np.max(np.abs(final - reference[-1])) <= 1e-12
     # the row is read after the drift, before the kick, which only changes its phase
@@ -341,7 +347,8 @@ def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair):
     amps = np.ones(shape, dtype=complex)
     if kick_pair == ["fftn", "ifftn"]:
         amps[:, 1] = 2.0  # breaks the mirror symmetry
-    evolution._strang_propagate(Wavefunction(grid, amps), u, 1.0, 1.0, 1e-2, 3)
+    evolution._strang_propagate(Wavefunction(grid, amps), u, kinetic_op(grid).samples, 1.0,
+                                1e-2, 3)
     assert [b[0] for b in bound] == kick_pair + ["fftn", "ifftn"]  # then the drift's pair
     rng = np.random.default_rng(4)
     for name, held, axes, f in bound:
@@ -351,6 +358,26 @@ def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair):
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             want = f(x)
             assert f(x, out=x) is x and np.array_equal(x, want), (name, rows)
+
+
+@pytest.mark.parametrize("units", ["action", "time"])
+def test_split_step_is_unchanged_by_a_change_of_units(harmonic_setup, units):
+    # (hbar, m, U, F) x lam, or (m, dt) x lam with (U, F) / lam, leaves U dt / hbar and
+    # hbar dt / m, so every phase and the final state; each record scales with its unit
+    grid, u, force = harmonic_setup
+    psi0 = gaussian_packet(grid, 1.0, 0.5, 0.8)
+    lam, mass, hbar, dt = 3.0, 2.0, 0.7, 1e-2
+    base = split_step(psi0, u, mass, hbar, dt, 40, 10, force_samples=[force])
+    # the factors of hbar, of dt and of every energy: U, F, T = hbar^2 |k|^2 / 2m and <H>
+    h, t, e = (lam, 1.0, lam) if units == "action" else (1.0, lam, 1.0 / lam)
+    scaled = split_step(psi0, e * u, lam * mass, h * hbar, t * dt, 40, 10,
+                        force_samples=[e * force])
+    final, want = scaled.states[-1].amps, base.states[-1].amps
+    assert np.max(np.abs(final - want)) <= 1e-13 * np.max(np.abs(want))
+    for field, factor in (("times", t), ("norm", 1.0), ("x_mean", 1.0), ("p_mean", h),
+                          ("u_mean", e), ("f_mean", e), ("energy", e)):
+        got, ref = getattr(scaled, field), factor * getattr(base, field)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
 
 
 def test_split_step_leaves_inputs_unchanged(harmonic_setup):

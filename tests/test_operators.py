@@ -7,6 +7,7 @@ from spectralqm import (
     DiagonalReal,
     LinearOperator,
     OperatorSum,
+    SpectralReal,
     apply,
     expectation,
     force_op,
@@ -114,6 +115,25 @@ def test_kinetic_plane_wave_energy():
 def test_kinetic_rejects_nonpositive_mass(grid):
     with pytest.raises(ValueError):
         kinetic_op(grid, mass=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_operators_refuse_a_unit_that_is_not_positive(grid, bad):
+    # a zero or negative unit would give the finite samples of a wrong operator
+    zeros = np.zeros(grid.shape)
+    for make in (lambda: momentum_op(grid, 0, hbar=bad), lambda: kinetic_op(grid, hbar=bad),
+                 lambda: hamiltonian(grid, zeros, hbar=bad), lambda: kinetic_op(grid, mass=bad),
+                 lambda: hamiltonian(grid, zeros, mass=bad)):
+        with pytest.raises(ValueError, match="must be positive, got hbar="):
+            make()
+
+
+@pytest.mark.parametrize("make", [DiagonalReal, SpectralReal], ids=["diagonal", "spectral"])
+def test_sampled_operators_refuse_complex_or_misshapen_samples(grid, make):
+    with pytest.raises(ValueError, match="^q: samples must be real$"):
+        make(grid, np.ones(grid.shape, dtype=complex), label="q")
+    with pytest.raises(ValueError, match="^q: samples shape must match grid shape$"):
+        make(grid, np.ones(grid.n[0] + 1), label="q")
 
 
 def test_hamiltonian_free_gaussian(grid):

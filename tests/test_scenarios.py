@@ -16,6 +16,7 @@ from spectralqm import (
 )
 from spectralqm.checks import _central_difference
 from spectralqm.evolution import _strang_propagate
+from spectralqm.operators import kinetic_op
 from spectralqm.scenarios import (_POTENTIALS, _analytic_force, _prominent_peaks,
                                   extract_fringe_spacing)
 from test_evolution import plain_strang
@@ -298,8 +299,8 @@ def test_kernel_detector_intensity_matches_plain_strang_loop():
     def accumulate(row):
         intensity[:] += np.abs(row(det_col)) ** 2 * cfg.dt
 
-    final = _strang_propagate(psi0, u, cfg.mass, cfg.hbar, cfg.dt, cfg.steps,
-                              on_drift=accumulate)
+    final = _strang_propagate(psi0, u, kinetic_op(grid, cfg.mass, cfg.hbar).samples, cfg.hbar,
+                              cfg.dt, cfg.steps, on_drift=accumulate)
     expected = np.zeros(grid.n[1])
     for step, amps in enumerate(plain_strang(psi0, u, cfg.mass, cfg.hbar, cfg.dt, cfg.steps)):
         if step:
@@ -309,6 +310,22 @@ def test_kernel_detector_intensity_matches_plain_strang_loop():
     assert np.max(np.abs(final - amps)) <= 1e-12 * np.max(np.abs(amps))
     assert np.array_equal(psi0.amps, amps0)
     assert np.array_equal(u, u0)
+
+
+def test_diffraction_is_unchanged_by_a_change_of_units():
+    # hbar x lam, mass x lam^2, dt x lam and p0 x lam leave the wavenumber p0 / hbar and the
+    # phases U dt / hbar and hbar |k|^2 dt / 2m, so the run; the intensity, a sum of
+    # |row|^2 dt, scales by lam.  hbar != mass, so T's units are told apart
+    cfg = fast_two_slit_config()
+    cfg = dataclasses.replace(cfg, grid=dict(cfg.grid, n=[128, 128]))
+    lam = 3.0
+    scaled = dataclasses.replace(cfg, hbar=lam * cfg.hbar, mass=lam**2 * cfg.mass, dt=lam * cfg.dt,
+                                 initial=dict(cfg.initial, p0=[lam * p for p in cfg.initial["p0"]]))
+    base, got = run_diffraction(cfg), run_diffraction(scaled)
+    want = lam * base.intensity
+    assert np.max(np.abs(got.intensity - want)) <= 1e-12 * np.max(want)
+    assert got.fringe_spacing == pytest.approx(base.fringe_spacing, rel=1e-12)
+    assert got.transmitted_fraction == pytest.approx(base.transmitted_fraction, rel=1e-12)
 
 
 def test_single_slit_pattern():
