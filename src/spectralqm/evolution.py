@@ -34,10 +34,10 @@ from .operators import (
     OperatorSum,
     SpectralReal,
     _as_matrix,
+    force_op,
     hermiticity_defect,
     kinetic_op,
     momentum_op,
-    spectral_gradient,
     to_dense,
 )
 
@@ -270,9 +270,9 @@ def split_step(
     |psi|^2 against 1, x_a, U, F_a, then one batched FFT and |psi_k|^2 against
     the samples of `momentum_op` p_a and of `kinetic_op` T, which the drift reads.
 
-    force_samples: per-axis -dU/dx arrays; computed by spectral
-    differentiation of u_samples when omitted.  Supply the analytic
-    derivative for potentials that are not periodic-smooth.
+    force_samples: -dU/dx_a, one real array of the grid's shape per axis a, each
+    through `force_op`; spectral differentiation of u_samples when omitted.
+    Supply the analytic derivative for potentials that are not periodic-smooth.
     """
     if not (np.isfinite(float(dt)) and dt > 0):  # numpy cannot take an int beyond int64
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -286,13 +286,12 @@ def split_step(
         raise ValueError("potential samples shape must match grid shape")
     kinetic = kinetic_op(grid, mass, hbar).samples
 
-    if force_samples is None:
-        force_samples = [-spectral_gradient(grid, u_samples, a) for a in range(grid.dim)]
-    elif grid.dim == 1 and np.ndim(force_samples) == 1:
-        force_samples = [force_samples]
-    force_samples = [np.asarray(f, dtype=float) for f in force_samples]
     dim = grid.dim
-    x_weights = [None, *grid.meshes, u_samples, *force_samples]
+    if force_samples is not None and len(force_samples) != dim:
+        raise ValueError(f"force_samples needs one array per axis, {dim}, got {len(force_samples)}")
+    forces = [force_op(grid, u_samples, a, None if force_samples is None else force_samples[a])
+              .samples for a in range(dim)]
+    x_weights = [None, *grid.meshes, u_samples, *forces]
     k_weights = [*(momentum_op(grid, a, hbar).samples for a in range(dim)), kinetic]
     times = np.arange(0, steps + 1, record_every) * float(dt)
     x_moments = np.empty((len(times), len(x_weights)))

@@ -1,8 +1,9 @@
 """Periodic sampling grids, wavefunctions, and Parseval-preserving transforms.
 
 Everything here is a pure function of immutable values, and a state is its
-grid and amplitudes: hbar and mass belong to the calls that use them.  The
-transform pair uses the convention
+grid and amplitudes: hbar and mass belong to the calls that use them.  A grid
+is its four fields: each coordinate or wavenumber array is formed when it is
+read and belongs to its reader.  The transform pair uses the convention
 
     Phi_m = dx^dim / (2*pi)^(dim/2) * sum_j psi_j exp(-i k_m . x_j)
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class Grid:
     Per axis: n samples over a box of the given length starting at origin,
     spacing dx = length/n, sample points x_j = origin + j*dx, and dual
     wavenumbers k_m = 2*pi*m'/length with m' in {-n/2, ..., n/2-1} stored in
-    standard DFT ordering.
+    standard DFT ordering.  It holds no arrays: every array property is formed
+    anew on each read.
     """
 
     dim: int
@@ -114,30 +116,26 @@ class Grid:
         The m' = -n/2 mode has an ambiguous sign on a real sampling grid;
         zeroing it keeps the derivative operator Hermitian.
         """
-        k = self.axis_wavenumbers(axis).copy()
+        k = self.axis_wavenumbers(axis)
         k[self.n[axis] // 2] = 0.0
         return k
 
-    @cached_property
+    @property
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcast to the full grid shape (ij indexing)."""
         axes = [self.axis_points(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    @cached_property
+    @property
     def k_meshes(self) -> tuple[np.ndarray, ...]:
+        """Open meshes (as `k_derivative_meshes`): axis a holds its n_a values, every other 1."""
         axes = [self.axis_wavenumbers(a) for a in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 summed over axes (Nyquist kept: |k|^2 is unambiguous)."""
-        return sum(k**2 for k in self.k_meshes)
-
-    @cached_property
+    @property
     def k_derivative_meshes(self) -> tuple[np.ndarray, ...]:
         axes = [self.axis_derivative_wavenumbers(a) for a in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def make_grid(dim: int, n, length, origin) -> Grid:
@@ -229,9 +227,10 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunctio
                 stacklevel=2,
             )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        meshes = grid.meshes
         envelope = sum(-(x - c) ** 2 / (4.0 * np.float64(s) ** 2)
-                       for x, c, s in zip(grid.meshes, x0s, sigmas))
-        phase = sum(p * x / hbar for x, p in zip(grid.meshes, p0s))
+                       for x, c, s in zip(meshes, x0s, sigmas))
+        phase = sum(p * x / hbar for x, p in zip(meshes, p0s))
         amps = np.exp(envelope + 1j * phase)
     if not np.isfinite(amps).all():
         cause = "p0 x / hbar" if not np.isfinite(phase).all() else "(x - x0)^2 / (4 sigma^2)"
@@ -244,13 +243,13 @@ def plane_wave(grid: Grid, mode_index) -> Wavefunction:
     """Single harmonic exp(i k_m . x)/sqrt(volume), an exact momentum eigenstate."""
     modes = _per_axis(mode_index, grid.dim, "mode_index")
     phase = np.zeros(grid.shape)
-    for a, m in enumerate(modes):
+    for a, (m, x) in enumerate(zip(modes, grid.meshes)):
         m = int(m)
         half = grid.n[a] // 2
         if not -half <= m < half:
             raise ValueError(f"mode {m} outside [-{half}, {half}) on axis {a}")
         k = TWO_PI * m / grid.length[a]
-        phase = phase + k * grid.meshes[a]
+        phase = phase + k * x
     amps = np.exp(1j * phase) / np.sqrt(np.prod(grid.length))
     return Wavefunction(grid, amps.astype(complex))
 

@@ -144,7 +144,8 @@ def momentum_op(grid: Grid, axis: int = 0, hbar: float = 1.0) -> SpectralReal:
     """
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got hbar={hbar!r}")
-    return SpectralReal(grid, hbar * grid.k_derivative_meshes[axis], label=f"p[{axis}]")
+    k = np.broadcast_to(grid.k_derivative_meshes[axis], grid.shape)
+    return SpectralReal(grid, hbar * k, label=f"p[{axis}]")
 
 
 def potential_op(grid: Grid, u_samples: np.ndarray) -> DiagonalReal:
@@ -170,22 +171,20 @@ def force_op(grid: Grid, u_samples: np.ndarray, axis: int = 0,
     """
     if force_samples is None:
         force_samples = -spectral_gradient(grid, u_samples, axis)
-    else:
-        force_samples = np.asarray(force_samples)
-        if np.iscomplexobj(force_samples):
-            raise ValueError("force samples must be real")
-    return DiagonalReal(grid, force_samples, label=f"F[{axis}]")
+    return DiagonalReal(grid, np.asarray(force_samples), label=f"F[{axis}]")
 
 
 def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal:
     """T = hbar^2 |k|^2 / (2 mass), which the drift and the records read.
 
-    Refused unless hbar and mass are positive and every sample is finite.
+    The one place that forms |k|^2 (its Nyquist bin kept: |k|^2 is
+    unambiguous).  Refused unless hbar and mass are positive and every sample
+    is finite.
     """
     if not (hbar > 0 and mass > 0):
         raise ValueError(f"hbar and mass must be positive, got hbar={hbar!r}, mass={mass!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.float64(hbar) ** 2 * grid.k_squared / (2.0 * mass)
+        samples = np.float64(hbar) ** 2 * sum(k**2 for k in grid.k_meshes) / (2.0 * mass)
     if not np.isfinite(samples).all():
         raise ValueError(f"kinetic samples hbar^2 |k|^2 / (2 mass) overflow for hbar={hbar!r}, "
                          f"mass={mass!r}")

@@ -23,6 +23,7 @@ from spectralqm import (
     momentum_op,
     position_op,
     potential_op,
+    spectral_gradient,
     spectrum,
     split_step,
     to_dense,
@@ -121,6 +122,28 @@ def test_split_step_rejects_bad_arguments(harmonic_setup):
         for store_states in (True, False):
             with pytest.raises(ValueError, match="hbar and mass must be positive"):
                 split_step(psi0, u, mass, hbar, 1e-3, 10, store_states=store_states)
+    # forces come one array per axis, a 1-D grid's too
+    with pytest.raises(ValueError, match="one array per axis, 1, got 256"):
+        split_step(psi0, u, 1.0, 1.0, 1e-3, 10, force_samples=force)
+
+
+SHAPE_REFUSAL = r"F\[0\]: samples shape must match grid shape"
+
+
+@pytest.mark.parametrize("case, refusal", [("transposed", SHAPE_REFUSAL),
+                                           ("complex", r"F\[0\]: samples must be real"),
+                                           ("one-axis", "one array per axis, 2, got 1"),
+                                           ("short", SHAPE_REFUSAL)])
+def test_split_step_refuses_forces_that_are_not_one_real_array_per_axis(case, refusal):
+    # each ran before: a transposed force weighed the wrong points, a complex one
+    # lost its imaginary part, and one force on a 2-D grid gave f_mean one column
+    grid = make_grid(2, [16, 8], [8.0, 8.0], [-4.0, -4.0])
+    x, y = grid.meshes
+    force = {"transposed": [-x.T, -y.T], "complex": [-x * (1.0 + 1e-3j), -y],
+             "one-axis": [-x], "short": [-x[:-1], -y]}[case]
+    psi0 = gaussian_packet(grid, [1.0, 0.0], 0.0, 0.6)
+    with pytest.raises(ValueError, match=refusal):
+        split_step(psi0, 0.5 * (x**2 + y**2), 1.0, 1.0, 1e-3, 4, force_samples=force)
 
 
 # a mass of 1e-320 overflows T = hbar^2 |k|^2 / (2 mass) itself, before any phase is formed
@@ -152,9 +175,21 @@ def test_split_step_convergence_order(harmonic_setup):
     assert 3.5 < e1 / e2 < 4.5
 
 
+def plain_wavenumbers(grid):
+    """Open meshes of k = 2 pi fftfreq(n, L/n) per axis, then of k with the Nyquist bin zeroed.
+
+    Formed here rather than read from `grids`, so that a wavenumber fault
+    there reaches the kernel but not its oracles.
+    """
+    ks = [2.0 * np.pi * np.fft.fftfreq(n, d=length / n) for n, length in zip(grid.n, grid.length)]
+    derivative = [np.where(np.arange(n) == n // 2, 0.0, k) for n, k in zip(grid.n, ks)]
+    return (np.meshgrid(*ks, indexing="ij", sparse=True),
+            np.meshgrid(*derivative, indexing="ij", sparse=True))
+
+
 def plain_strang(psi0, u, mass, hbar, dt, steps):
     """Unfused Strang loop (half-kick, drift, half-kick); yields every state from t=0."""
-    k2 = sum(k**2 for k in psi0.grid.k_meshes)
+    k2 = sum(k**2 for k in plain_wavenumbers(psi0.grid)[0])
     half_kick = np.exp(-1j * u * dt / (2.0 * hbar))
     drift = np.exp(-1j * hbar * k2 * dt / (2.0 * mass))
     amps = psi0.amps.astype(complex)
@@ -171,10 +206,11 @@ def plain_records(grid, amps, u, force, mass, hbar):
     # |fft|^2 dx^dim / n_total is |Phi|^2 dk^dim for the library transform
     spec_density = np.abs(np.fft.fftn(amps)) ** 2 * dv / grid.size
     u_mean = np.sum(u * density) * dv
-    kinetic = np.sum(hbar**2 * grid.k_squared / (2.0 * mass) * spec_density)
+    ks, derivative_ks = plain_wavenumbers(grid)
+    kinetic = np.sum(hbar**2 * sum(k**2 for k in ks) / (2.0 * mass) * spec_density)
     return [np.sum(density) * dv,
             *(np.sum(x * density) * dv for x in grid.meshes),
-            *(hbar * np.sum(k * spec_density) for k in grid.k_derivative_meshes),
+            *(hbar * np.sum(k * spec_density) for k in derivative_ks),
             u_mean,
             *(np.sum(f * density) * dv for f in force),
             kinetic + u_mean]
@@ -264,7 +300,7 @@ def _rows_potential(grid, rows):
 def test_split_step_2d_slab_kick_matches_plain_strang_loop(rows, roll):
     grid = make_grid(2, [64, 32], [12.0, 10.0], [-6.0, -5.0])
     u = _rows_potential(grid, rows)
-    force = [-evolution.spectral_gradient(grid, u, a) for a in range(2)]
+    force = [-spectral_gradient(grid, u, a) for a in range(2)]
     # the packet sits on the potential's rows (rolled across the periodic edge if need be)
     packet = gaussian_packet(grid, [-0.3, 0.5], [2.0, -1.0], [0.9, 0.8])
     psi0 = packet.with_amps(np.roll(packet.amps, roll, axis=0))
@@ -303,7 +339,7 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
     if perturbed:
         amps[30, 5] *= 1.001
     psi0 = packet.with_amps(amps)
-    force = [-evolution.spectral_gradient(grid, u, a) for a in range(2)]
+    force = [-spectral_gradient(grid, u, a) for a in range(2)]
     # the kernel holds the even sector when _mirror_even holds for both u and psi0
     mirror_even, verdicts = evolution._mirror_even, []
     monkeypatch.setattr(evolution, "_mirror_even",
@@ -865,5 +901,5 @@ def test_dense_spectrum_and_split_step_keep_the_default_blas_threads(monkeypatch
     assert len(seen) == 1
     grid, u, force = harmonic_setup
     split_step(gaussian_packet(grid, 1.0, 0.0, 1.0), u, 1.0, 1.0, 0.01, 20, record_every=5,
-               force_samples=force)
+               force_samples=[force])
     assert len(seen) > 1 and all(counts == before for counts in seen)

@@ -20,6 +20,7 @@ from spectralqm import (
     normalize,
     norm_squared,
     plane_wave,
+    position_op,
     random_state,
     split_step,
     to_momentum,
@@ -244,6 +245,36 @@ def test_states_hold_only_grid_and_amps(wide_grid):
 def test_gaussian_packet_refuses_a_nonpositive_hbar(wide_grid, hbar):
     with pytest.raises(ValueError, match="hbar must be positive"):
         gaussian_packet(wide_grid, 0.0, 1.0, 1.0, hbar=hbar)
+
+
+def _small_grid(dim):
+    return make_grid(dim, [16, 8][:dim], [8.0, 4.0][:dim], [-4.0, -2.0][:dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_grid_keeps_no_arrays(dim):
+    # a grid is its four fields: reading its arrays or building operators on it stores nothing
+    g = _small_grid(dim)
+    for name in dir(g):
+        if not name.startswith("_"):
+            getattr(g, name)
+    kinetic_op(g), momentum_op(g), position_op(g)
+    assert set(vars(g)) == {"dim", "n", "length", "origin"}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_operator_shares_no_array_with_its_grid(dim):
+    g = _small_grid(dim)
+    position_op(g).samples[:] += 5.0
+    np.testing.assert_array_equal(g.meshes[0].T, np.broadcast_to(g.axis_points(0), g.shape[::-1]))
+
+
+def test_wavenumber_meshes_are_open():
+    g = _small_grid(2)
+    for meshes in (g.k_meshes, g.k_derivative_meshes):
+        assert [k.shape for k in meshes] == [(16, 1), (1, 8)]
+    np.testing.assert_array_equal(momentum_op(g, 1).samples,
+                                  np.broadcast_to(g.axis_derivative_wavenumbers(1), g.shape))
 
 
 # ---------------------------------------------------------------------------
