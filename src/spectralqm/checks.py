@@ -15,6 +15,7 @@ comparisons 1e-4..1e-5 (see the Ehrenfest checks for the error model).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -257,7 +258,6 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
     identity.  Residual = (nullity - 1) + (1 - |overlap with I|).  The
     commutant does not depend on hbar, so P is taken at hbar = 1.
     """
-    import scipy.linalg as sla
     if not 4 <= n <= 16:
         raise ValueError(f"commutant check supports 4 <= n <= 16, got {n}")
     grid = make_grid(1, n, float(n), 0.0)
@@ -270,7 +270,7 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
         return np.kron(eye, a.T) - np.kron(a, eye)
 
     stacked = np.vstack([commutation_block(x_dense), commutation_block(p_dense)])
-    _, svals, vh = sla.svd(stacked, full_matrices=False)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = max(svals[0], 1.0) * 1e-10
     nullity = int(np.sum(svals <= cutoff))
     if nullity == 0:
@@ -292,6 +292,33 @@ def check_commutant_uniqueness(n: int, tolerance: float = 1e-8) -> CheckReport:
     )
 
 
+# Higham's degree-13 Pade coefficients b_k = (26 - k)! / (k! (13 - k)!), and the
+# 1-norm up to which it needs no scaling in double precision
+PADE_13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+                for k in range(14))
+THETA_13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)): r(a / 2^s) = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U, squared s
+    times, with s the least that brings the 1-norm of a / 2^s below THETA_13.  The
+    second form gives exactly the identity for a zero matrix."""
+    s = max(0, math.frexp(np.linalg.norm(a, 1) / THETA_13)[1])
+    a = a / 2.0**s
+    b, eye = PADE_13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def check_antihermitian_exponential(
     n: int = 16,
     n_random: int = 100,
@@ -302,15 +329,14 @@ def check_antihermitian_exponential(
     """Anti-Hermitian generators exponentiate to unitaries, and conversely.
 
     (a) exp(A) for random anti-Hermitian A must be unitary (checked with the
-        general matrix exponential, cross-checked against the
-        eigendecomposition oracle);
+        general matrix exponential `_expm`, Pade-13 scaling and squaring,
+        cross-checked against the eigendecomposition oracle);
     (b) numerically differentiating a random unitary one-parameter family at
         t=0 must give back an anti-Hermitian generator.
 
     hermitian_control=True feeds Hermitian (not anti-) generators through
     route (a); the report is then expected to fail.
     """
-    import scipy.linalg as sla
     if n > 64:
         raise ValueError("check limited to n <= 64")
     rng = np.random.default_rng(seed)
@@ -318,12 +344,12 @@ def check_antihermitian_exponential(
     for _ in range(n_random):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (g + g.conj().T if hermitian_control else g - g.conj().T) / 2.0
-        e = sla.expm(a)
+        e = _expm(a)
         residuals.append(unitarity_defect(e))
         if not hermitian_control:
             # oracle: A = -iH with H Hermitian, so exp(A) = V exp(-i diag) V^+
             h_mat = 1j * a
-            evals, vecs = sla.eigh(h_mat)
+            evals, vecs = np.linalg.eigh(h_mat)
             e_oracle = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
             residuals.append(np.linalg.norm(e - e_oracle))
             # reverse direction: differentiate the family exp(A t) at t = 0

@@ -516,7 +516,7 @@ def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]
     def precondition(r, c):
         d = (1.0 + (u - u.min()) / c) ** -0.5
         spec = forward(d * r.reshape(-1, *shape)) / (kinetic + c)
-        return (d * inverse(spec, s=shape)).reshape(len(r), -1)
+        return (d * inverse(spec, out=spec)).reshape(len(r), -1)
 
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((grid.size, m)))[0].T
     hq = apply(q)

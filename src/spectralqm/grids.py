@@ -13,10 +13,10 @@ so that the discrete Parseval identity
 
 holds without correction factors.
 
-Every transform goes through `_dft`, whose one rule picks the library: a
-complex128 transform over one axis calls numpy.fft's pocketfft gufunc, the
-DCT-I pair scipy's pocketfft, and any other (two axes, real input) scipy.fft;
-scipy is imported only then, so a 1-D run never loads scipy.fft.  Every
+Every transform goes through `_dft`, which gives scipy.fft's bits: the FFTs,
+over any axes and of complex or real input, call numpy.fft's pocketfft gufuncs
+one axis at a time, and only the DCT-I pair of the mirror-even sector calls
+scipy's pocketfft.  So scipy.fft is loaded by that sector alone.  Every
 transform runs on one worker.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -266,17 +266,21 @@ def _origin_phase(grid: Grid) -> np.ndarray:
 
 
 def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
-    """The transform `name` over `axes`, as a callable: scipy.fft's fftn, ifftn,
-    rfftn or irfftn, or dct1/idct1, its dct/idct of type 1.
+    """The transform `name` over `axes`, as a callable with scipy.fft's bits:
+    its fftn, ifftn, rfftn or irfftn, or dct1/idct1, its dct/idct of type 1.
 
     It takes arrays like `a` (its dtype, its number of axes and its lengths along
-    `axes`), irfftn's shape `s`, and `out`: the input itself, to let the result be
-    written into it (numpy and the DCT-I do so, scipy may); either way it returns the result.
-    A one-axis complex128 transform calls numpy.fft's gufunc
-    (`_pocketfft_umath.fft`/`ifft`) with the factor numpy.fft.ifft passes, 1.0
-    forward and 1/n inverse, so its bits are numpy's (scipy's at powers of two).
-    The DCT-I pair is one `pypocketfft.dct` call over the (..., 2) float64 view
-    of a complex array, which gives scipy.fft's bits for its two parts.
+    `axes`; for irfftn, like its real result) and `out`: the input itself, to let
+    a complex result be written into it; either way it returns the result.  Real
+    input (fftn of a real `a`, and rfftn) runs over trailing axes.  numpy.fft's
+    pocketfft gufuncs make one pass per axis, in scipy's order: real input along
+    the last axis first (`rfft_n_even`/`_odd`), then the complex passes in the
+    order of `axes`, and irfftn's `irfft` pass last.  The inverse's 1/N (N the
+    product of the lengths) scales its first complex pass, or its `irfft` pass.
+    So its bits are scipy's wherever 1/N rounds alike in double and in scipy's
+    long double, at every power-of-two N among them.  The DCT-I pair alone loads
+    scipy: one `pypocketfft.dct` call over the (..., 2) float64 view of a
+    complex array gives scipy.fft's bits for its two parts.
     """
     if name in ("dct1", "idct1"):
         from scipy.fft._pocketfft import pypocketfft
@@ -288,16 +292,62 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
                             out[..., None].view(np.float64))
             return out
         return dct
-    if name in ("fftn", "ifftn") and len(axes) == 1 and a.dtype == np.complex128:
-        from numpy.fft import _pocketfft_umath as pocketfft
-        ufunc, fct = ((pocketfft.fft, 1.0) if name == "fftn"
-                      else (pocketfft.ifft, 1 / a.shape[axes[0]]))
+    from numpy.fft import _pocketfft_umath as pocketfft
+    forward = name in ("fftn", "rfftn")
+    ufunc, fct = ((pocketfft.fft, 1.0) if forward
+                  else (pocketfft.ifft, 1 / math.prod(a.shape[axis] for axis in axes)))
+    if len(axes) == 1 and a.dtype == np.complex128:
         if axes[0] not in (-1, a.ndim - 1):
             ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
         return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
-    import scipy.fft as sfft
-    transform = partial(getattr(sfft, name), axes=axes)
-    return lambda x, out=None, **kwargs: transform(x, overwrite_x=out is x, **kwargs)
+
+    def passes(x, out, axes, fct):
+        for axis in axes:
+            x = ufunc(x, fct, axes=[(axis,), (), (axis,)], out=out)
+            fct = 1.0
+        return x
+
+    if a.dtype == np.complex128:
+        return lambda x, out=None: passes(x, np.empty_like(x) if out is None else out, axes, fct)
+    n, lead = a.shape[axes[-1]], axes[:-1]
+    if not forward:
+        return lambda x, out=None: pocketfft.irfft(
+            passes(x, np.empty_like(x) if out is None else out, lead, 1.0), fct,
+            out=np.empty((*x.shape[:-1], n)))
+    rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+    if name == "fftn":
+        source, target = _mirror_pairs(tuple(a.shape[axis] for axis in axes))
+
+    def real_forward(x, out=None):
+        full = np.empty((*x.shape[:-1], n if name == "fftn" else n // 2 + 1), complex)
+        half = rfft(x, 1.0, out=full[..., :n // 2 + 1])
+        passes(half, half, lead, 1.0)
+        if name == "fftn":  # the other half, as scipy.fft fills it
+            flat = full.reshape(*x.shape[:x.ndim - len(axes)], -1)
+            values = flat[..., source]
+            flat[..., target] = np.conjugate(values, out=values)
+        return full
+    return real_forward
+
+
+@cache
+def _mirror_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (source, target) indices over `shape` by which scipy.fft completes
+    the spectrum of real input from its first n // 2 + 1 columns: the entry
+    target = -source mod `shape` per axis takes the conjugate of the source.
+
+    Column q > n / 2 is read from column n - q.  Column 0, and n / 2 for even n,
+    are their own mirror: there an entry that comes after its mirror in C order
+    takes its conjugate, one that is its own mirror is conjugated, and the
+    others keep their values.
+    """
+    n = shape[-1]
+    index = np.arange(math.prod(shape)).reshape(shape)
+    mirror = index[np.ix_(*[-np.arange(m) % m for m in shape])]
+    column = np.arange(n)
+    read = (((column >= 1) & (column < n - n // 2))
+            | (((column == 0) | (2 * column == n)) & (index <= mirror)))
+    return index[read], mirror[read]
 
 
 def to_momentum(psi: Wavefunction) -> MomentumAmplitudes:

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -282,11 +283,45 @@ def test_antihermitian_exponential_unitary():
     assert report.passed and report.residual < 1e-10
 
 
-def test_zero_generator_gives_identity():
-    import scipy.linalg as sla
+# Each _expm case names the mutant of `checks._expm` that it catches.
 
-    e = sla.expm(np.zeros((8, 8), dtype=complex))
-    assert np.array_equal(e, np.eye(8))
+
+def test_zero_generator_gives_identity():
+    # caught: s from ceil(log2(norm / THETA_13)), which raises on a zero norm, and
+    # the identity dropped from I + 2 (V - U)^-1 U
+    assert np.array_equal(checks._expm(np.zeros((8, 8), dtype=complex)), np.eye(8))
+
+
+def test_expm_of_a_diagonal_matrix():
+    # caught: the squaring loop dropped (the 1-norm 7.5 takes one squaring), the
+    # odd part U negated, which gives exp(-a), and a scaling that stops below
+    # twice THETA_13 instead of THETA_13
+    d = np.array([-3.0, 0.5, 2.0, 7.5])
+    np.testing.assert_allclose(checks._expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("scale", [0.5, 8.0])
+def test_expm_of_a_nilpotent_jordan_block(scale):
+    # exp(c N) for the 14 x 14 shift N is the finite series sum_k (c N)^k / k!,
+    # which the degree-13 Pade approximant matches exactly; caught: any one Pade
+    # coefficient b_1..b_13 off by a part in 1e3, and at c = 8 the dropped squaring
+    n = 14
+    got = checks._expm(scale * np.eye(n, k=1))
+    want = sum(scale**k / math.factorial(k) * np.eye(n, k=k) for k in range(n))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("norm", np.geomspace(0.1, 50.0, 7))
+def test_expm_of_antihermitian_matrices_matches_the_eigendecomposition(norm):
+    # caught: the squaring loop dropped (1-norms above THETA_13), U negated, and
+    # any one of b_1..b_10 off by a part in 1e3
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    a = g - g.conj().T
+    a *= norm / np.linalg.norm(a, 1)
+    evals, vecs = np.linalg.eigh(1j * a)
+    oracle = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+    assert np.linalg.norm(checks._expm(a) - oracle) <= 1e-12
 
 
 def test_hermitian_negative_control():

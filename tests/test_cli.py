@@ -976,19 +976,53 @@ def _run_fresh(*args: str) -> subprocess.CompletedProcess:
                           check=False)
 
 
-# scipy.fft and scipy.linalg take about 0.2 s to import; a 1-D evolve needs neither
-LAZY_SCIPY = "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))"
+# scipy.fft and scipy.linalg take about 0.2 s to import, and scipy.fft loads
+# scipy.special; a 1-D evolve needs none of them
+LAZY_SCIPY = ("print(sorted(m for m in ('scipy.fft', 'scipy.linalg', 'scipy.special') "
+              "if m in sys.modules))")
 
 
 def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
     assert _run_fresh("-c", f"import sys, spectralqm.cli; {LAZY_SCIPY}").stdout.strip() == "[]"
 
 
-def test_1d_evolve_leaves_scipy_fft_and_linalg_unloaded(harmonic_config_path, tmp_path):
-    argv = ["evolve", "--config", harmonic_config_path, "--out", str(tmp_path / "out")]
+def _main_in_a_fresh_process(argv: list[str]) -> list[str]:
+    """The exit code of cli.main(argv) and the lazy scipy modules loaded after it."""
     result = _run_fresh("-c", f"import sys, spectralqm.cli as cli; print(cli.main({argv!r})); "
                               f"{LAZY_SCIPY}")
-    assert result.stdout.splitlines()[-2:] == ["0", "[]"]
+    return result.stdout.splitlines()[-2:]
+
+
+def test_1d_evolve_leaves_scipy_fft_and_linalg_unloaded(harmonic_config_path, tmp_path):
+    argv = ["evolve", "--config", harmonic_config_path, "--out", str(tmp_path / "out")]
+    assert _main_in_a_fresh_process(argv) == ["0", "[]"]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "evolve"])
+def test_numpy_only_commands_leave_scipy_fft_linalg_and_special_unloaded(command, tmp_path):
+    # verify's dense algebra, the matrix-free spectrum's real transforms and a
+    # full-grid (not mirror-even: p0 moves along axis 1) 2-D run all take numpy
+    path = write_config(tmp_path, "well.json", {
+        "name": "well-2d",
+        "grid": {"dim": 2, "n": [32, 32], "length": [12.0, 12.0], "origin": [-6.0, -6.0]},
+        "potential": {"kind": "harmonic", "omega": 1.0},
+        "initial": {"kind": "gaussian", "x0": [0.0, 0.5], "p0": [0.3, 0.7], "sigma": [1.0, 1.0]},
+        "dt": 1e-3,
+        "steps": 20,
+    })
+    argv = {"verify": ["verify"], "spectrum": ["spectrum", "--config", path, "--levels", "2"],
+            "evolve": ["evolve", "--config", path]}[command]
+    assert _main_in_a_fresh_process([*argv, "--out", str(tmp_path / "out")]) == ["0", "[]"]
+
+
+def test_mirror_even_diffract_loads_scipy_fft(tmp_path):
+    # the control of the test above: the even sector's DCT-I pair needs scipy.fft
+    from test_scenarios import fast_two_slit_config
+
+    path = write_config(tmp_path, "slit.json", fast_two_slit_config().as_dict())
+    code, loaded = _main_in_a_fresh_process(["diffract", "--config", path,
+                                             "--out", str(tmp_path / "out")])
+    assert code == "0" and "'scipy.fft'" in loaded
 
 
 def test_verify_and_diffract_run_correct_in_a_fresh_process(tmp_path):

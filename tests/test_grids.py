@@ -278,15 +278,15 @@ def test_wavenumber_meshes_are_open():
 
 
 # ---------------------------------------------------------------------------
-# the transform entry point: numpy.fft over one complex axis, else scipy.fft
+# the transform entry point: numpy.fft's gufuncs, scipy's pocketfft for the DCT-I
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def scipy_fft(monkeypatch):
-    """scipy.fft's fftn and ifftn as oracles, and the calls that _dft binds from them."""
+    """scipy.fft's fftn, ifftn, rfftn and irfftn as oracles, and the calls made to them."""
     oracle, calls = {}, []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         oracle[name] = real = getattr(sfft, name)
 
         def spy(x, *args, _name=name, _real=real, **kwargs):
@@ -368,15 +368,42 @@ def test_dct1_pair_keeps_scipys_bits_and_writes_into_out():
             assert np.array_equal(b, want), (name, rows)
 
 
-def test_real_input_and_two_axes_take_scipy(scipy_fft):
+def test_real_input_and_two_axes_take_numpy(scipy_fft):
     oracle, calls = scipy_fft
     rng = np.random.default_rng(1)
-    real = rng.standard_normal(256)
-    # numpy transforms a real input as a complex one, and its bits differ from scipy's
-    assert not np.array_equal(np.fft.fft(real), oracle["fftn"](real, axes=(0,)))
-    plane = _complex(rng, (64, 32))
-    for a, axes in ((real, (0,)), (plane, (0, 1))):
-        want = oracle["fftn"](a, axes=axes)
-        calls.clear()
-        assert np.array_equal(_dft("fftn", a, axes)(a), want)
-        assert calls == [("fftn", a.shape)]
+    real, plane = rng.standard_normal((3, 64, 32)), _complex(rng, (64, 32))
+    for name, a, axes in (("fftn", real, (-1,)), ("fftn", real, (-2, -1)), ("rfftn", real, (-2, -1)),
+                          ("fftn", plane, (0, 1)), ("ifftn", plane, (0, 1))):
+        _dft(name, a, axes)(a)
+    _dft("irfftn", real, (-2, -1))(oracle["rfftn"](real, axes=(-2, -1)))
+    assert calls == []
+
+
+# the shapes the program transforms over several axes or as real input: a 2-D
+# state, the matrix-free spectrum's 128x128 well, a 512x257 plane, a block of
+# 64x32 states, a 3-D grid of odd and even lengths, and a block of 1-D states
+SCIPY_SHAPES = [((64, 32), (0, 1)), ((128, 128), (-2, -1)), ((512, 257), (0, 1)),
+                ((6, 64, 32), (-2, -1)), ((8, 15, 12), (0, 1, 2)), ((3, 256), (-1,))]
+
+
+@pytest.mark.parametrize("shape, axes", SCIPY_SHAPES)
+def test_several_axes_and_real_input_keep_scipys_bits(scipy_fft, shape, axes):
+    oracle = scipy_fft[0]
+    rng = np.random.default_rng(4)
+    a, real = _complex(rng, shape), rng.standard_normal(shape)
+    for name in ("fftn", "ifftn"):
+        want = oracle[name](a, axes=axes)
+        assert np.array_equal(_dft(name, a, axes)(a), want), name
+        b = a.copy()
+        assert _dft(name, b, axes)(b, out=b) is b and np.array_equal(b, want), name
+    # real input: numpy's r2c gufunc along the last axis, and fftn's other half
+    # filled as scipy fills it, the sign of each zero included
+    full = _dft("fftn", real, axes)(real)
+    want = oracle["fftn"](real, axes=axes)
+    assert np.array_equal(full, want)
+    assert np.array_equal(np.signbit(full.view(float)), np.signbit(want.view(float)))
+    half = oracle["rfftn"](real, axes=axes)
+    assert np.array_equal(_dft("rfftn", real, axes)(real), half)
+    want = oracle["irfftn"](half, s=[shape[axis] for axis in axes], axes=axes)
+    assert np.array_equal(_dft("irfftn", real, axes)(half), want)
+    assert np.array_equal(_dft("irfftn", real, axes)(half, out=half), want)
