@@ -427,12 +427,12 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     """Lowest eigenpairs of a Hermitian Hamiltonian.
 
     A real symmetric grid LinearOperator such as `hamiltonian(...)` is solved
-    matrix-free, in real arithmetic, by a preconditioned block solver through
-    its own `_apply_amps` (see `_lowest_block`).  That solver's basis holds
-    3 (n_levels + BLOCK_PAD) states; when this is more than a quarter of the N
-    grid points, or more entries than the largest dense matrix, the matrix is
-    built with `to_dense` and solved by the subset `eigh`, and above the dense
-    size limit such a request is refused.
+    matrix-free, in real arithmetic, by a preconditioned block solver that
+    applies it from its summed samples (see `_lowest_block`).  That solver's
+    basis holds 3 (n_levels + BLOCK_PAD) states; when this is more than a
+    quarter of the N grid points, or more entries than the largest dense
+    matrix, the matrix is built with `to_dense` and solved by the subset
+    `eigh`, and above the dense size limit such a request is refused.
 
     A grid operator that fails one probe apply (`_maps_real_to_real`), a
     complex Hermitian one such as H + c p, takes the dense route at any
@@ -480,7 +480,7 @@ def _maps_real_to_real(h, grid: Grid) -> bool:
     A Hermitian grid operator that passes is a real symmetric matrix.  The
     probe has its own random stream, so the solver's start vectors do not move.
     """
-    out = h._apply_amps(np.random.default_rng(1).standard_normal(grid.shape))
+    out = h._apply_amps(np.random.default_rng(1).standard_normal(grid.shape).astype(complex))
     return bool(np.abs(out.imag).max() <= REALNESS_TOL * np.abs(out).max())
 
 
@@ -493,12 +493,13 @@ def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]
     """Lowest n_levels eigenpairs of a real symmetric grid operator by LOBPCG.
 
     Knyazev's block solver (SIAM J. Sci. Comput. 23, 517 (2001)) on n_levels +
-    BLOCK_PAD states, in real arithmetic (`spectrum` has probed that
-    `_apply_amps` maps real states to real ones).  Each step takes the Ritz
-    pairs of the span of the block X, its last move P and the preconditioned
-    residuals W, kept orthonormal.  The preconditioner D (T + c)^-1 D, with T
-    the summed `SpectralReal` samples of `_summands(h)`, D = (1 + (U - min U) /
-    c)^-1/2 for their summed `DiagonalReal` samples U, and c the largest |Ritz
+    BLOCK_PAD states, in real arithmetic (`spectrum` has probed that h maps
+    real states to real ones): H v = irfftn(T rfftn(v)) + U v, T and U the
+    summed `SpectralReal` and `DiagonalReal` samples of `_summands(h)`, plus
+    the real part of each other summand's `_apply_amps`.  Each step takes the
+    Ritz pairs of the span of the block X, its last move P and the
+    preconditioned residuals W, kept orthonormal.  The preconditioner D (T +
+    c)^-1 D, with D = (1 + (U - min U) / c)^-1/2 and c the largest |Ritz
     value|, keeps the step count from growing as 1/dx^2.  The products of X and
     P are carried along, so a last Rayleigh-Ritz step on exact products sets
     the energies.  A fixed random start makes reruns byte-identical.
@@ -507,11 +508,18 @@ def _lowest_block(h, grid: Grid, n_levels: int) -> tuple[np.ndarray, np.ndarray]
     parts = _summands(h)
     kinetic, u = (sum((p.samples for p in parts if isinstance(p, kind)), np.zeros(shape))
                   for kind in (SpectralReal, DiagonalReal))
+    others = [p for p in parts if not isinstance(p, (SpectralReal, DiagonalReal))]
     kinetic = kinetic[..., :shape[-1] // 2 + 1]  # the half that rfftn keeps
     forward, inverse = (_dft(name, u, tuple(range(-grid.dim, 0))) for name in ("rfftn", "irfftn"))
 
     def apply(v):
-        return h._apply_amps(v.reshape(-1, *shape)).real.reshape(len(v), -1)
+        v = v.reshape(-1, *shape)
+        spec = forward(v)
+        spec *= kinetic
+        hv = inverse(spec, out=spec) + u * v
+        for p in others:
+            hv += p._apply_amps(v.astype(complex)).real
+        return hv.reshape(len(v), -1)
 
     def precondition(r, c):
         d = (1.0 + (u - u.min()) / c) ** -0.5

@@ -13,11 +13,10 @@ so that the discrete Parseval identity
 
 holds without correction factors.
 
-Every transform goes through `_dft`, which gives scipy.fft's bits: the FFTs,
-over any axes and of complex or real input, call numpy.fft's pocketfft gufuncs
-one axis at a time, and only the DCT-I pair of the mirror-even sector calls
-scipy's pocketfft.  So scipy.fft is loaded by that sector alone.  Every
-transform runs on one worker.
+Every transform goes through `_dft`, which gives scipy.fft's bits: the FFTs
+over any axes call numpy.fft's pocketfft gufuncs one axis at a time, and only
+the DCT-I pair of the mirror-even sector calls scipy's pocketfft.  So
+scipy.fft is loaded by that sector alone.  Every transform runs on one worker.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -269,14 +268,15 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
     """The transform `name` over `axes`, as a callable with scipy.fft's bits:
     its fftn, ifftn, rfftn or irfftn, or dct1/idct1, its dct/idct of type 1.
 
-    It takes arrays like `a` (its dtype, its number of axes and its lengths along
-    `axes`; for irfftn, like its real result) and `out`: the input itself, to let
-    a complex result be written into it; either way it returns the result.  Real
-    input (fftn of a real `a`, and rfftn) runs over trailing axes.  numpy.fft's
-    pocketfft gufuncs make one pass per axis, in scipy's order: real input along
-    the last axis first (`rfft_n_even`/`_odd`), then the complex passes in the
-    order of `axes`, and irfftn's `irfft` pass last.  The inverse's 1/N (N the
-    product of the lengths) scales its first complex pass, or its `irfft` pass.
+    It takes arrays like `a` (its number of axes and its lengths along `axes`;
+    for irfftn, like its real result) and `out`: the input itself, to let a
+    complex result be written into it; either way it returns the result.
+    rfftn and irfftn run over trailing axes.  numpy.fft's pocketfft gufuncs
+    make one pass per axis, in scipy's order: rfftn's real input along the last
+    axis first (`rfft_n_even`/`_odd`), then the complex passes in the order of
+    `axes` (fftn's first pass casts real input, as casting it first would),
+    and irfftn's `irfft` pass last.  The inverse's 1/N (N the product of the
+    lengths) scales its first complex pass, or its `irfft` pass.
     So its bits are scipy's wherever 1/N rounds alike in double and in scipy's
     long double, at every power-of-two N among them.  The DCT-I pair alone loads
     scipy: one `pypocketfft.dct` call over the (..., 2) float64 view of a
@@ -296,10 +296,10 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
     forward = name in ("fftn", "rfftn")
     ufunc, fct = ((pocketfft.fft, 1.0) if forward
                   else (pocketfft.ifft, 1 / math.prod(a.shape[axis] for axis in axes)))
-    if len(axes) == 1 and a.dtype == np.complex128:
+    if name in ("fftn", "ifftn") and len(axes) == 1:
         if axes[0] not in (-1, a.ndim - 1):
             ufunc = partial(ufunc, axes=[axes[:1], (), axes[:1]])
-        return lambda x, out=None: ufunc(x, fct, out=np.empty_like(x) if out is None else out)
+        return lambda x, out=None: ufunc(x, fct, out=np.empty(x.shape, complex) if out is None else out)
 
     def passes(x, out, axes, fct):
         for axis in axes:
@@ -307,47 +307,20 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
             fct = 1.0
         return x
 
-    if a.dtype == np.complex128:
-        return lambda x, out=None: passes(x, np.empty_like(x) if out is None else out, axes, fct)
+    if name in ("fftn", "ifftn"):
+        return lambda x, out=None: passes(x, np.empty(x.shape, complex) if out is None else out,
+                                          axes, fct)
     n, lead = a.shape[axes[-1]], axes[:-1]
     if not forward:
         return lambda x, out=None: pocketfft.irfft(
             passes(x, np.empty_like(x) if out is None else out, lead, 1.0), fct,
             out=np.empty((*x.shape[:-1], n)))
     rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
-    if name == "fftn":
-        source, target = _mirror_pairs(tuple(a.shape[axis] for axis in axes))
 
     def real_forward(x, out=None):
-        full = np.empty((*x.shape[:-1], n if name == "fftn" else n // 2 + 1), complex)
-        half = rfft(x, 1.0, out=full[..., :n // 2 + 1])
-        passes(half, half, lead, 1.0)
-        if name == "fftn":  # the other half, as scipy.fft fills it
-            flat = full.reshape(*x.shape[:x.ndim - len(axes)], -1)
-            values = flat[..., source]
-            flat[..., target] = np.conjugate(values, out=values)
-        return full
+        half = rfft(x, 1.0, out=np.empty((*x.shape[:-1], n // 2 + 1), complex))
+        return passes(half, half, lead, 1.0)
     return real_forward
-
-
-@cache
-def _mirror_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (source, target) indices over `shape` by which scipy.fft completes
-    the spectrum of real input from its first n // 2 + 1 columns: the entry
-    target = -source mod `shape` per axis takes the conjugate of the source.
-
-    Column q > n / 2 is read from column n - q.  Column 0, and n / 2 for even n,
-    are their own mirror: there an entry that comes after its mirror in C order
-    takes its conjugate, one that is its own mirror is conjugated, and the
-    others keep their values.
-    """
-    n = shape[-1]
-    index = np.arange(math.prod(shape)).reshape(shape)
-    mirror = index[np.ix_(*[-np.arange(m) % m for m in shape])]
-    column = np.arange(n)
-    read = (((column >= 1) & (column < n - n // 2))
-            | (((column == 0) | (2 * column == n)) & (index <= mirror)))
-    return index[read], mirror[read]
 
 
 def to_momentum(psi: Wavefunction) -> MomentumAmplitudes:

@@ -52,7 +52,7 @@ class LinearOperator:
             raise ValueError(f"{self.label}: samples shape must match grid shape")
 
     def _apply_amps(self, amps: np.ndarray) -> np.ndarray:
-        """op applied over the trailing grid axes of amps; leading axes are a batch."""
+        """op applied over the trailing grid axes of complex amps; leading axes are a batch."""
         raise NotImplementedError
 
     def _check_grid(self, grid: Grid):
@@ -110,9 +110,7 @@ class OperatorSum(LinearOperator):
         first, *rest = self.parts
         out = first._apply_amps(amps)
         for p in rest:
-            term = p._apply_amps(amps)
-            # on a real input a real part gives a real sum, which a complex term widens
-            out = np.add(out, term, out=out if np.can_cast(term.dtype, out.dtype) else None)
+            out += p._apply_amps(amps)
         return out
 
 

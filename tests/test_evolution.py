@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from spectralqm import (
     DenseOperator,
     DiagonalReal,
+    LinearOperator,
     OperatorSum,
     Trajectory,
     evolution_operator,
@@ -750,7 +751,8 @@ def test_spectrum_refuses_a_complex_operator_above_the_dense_limit():
 
 
 def test_spectrum_real_route_takes_any_order_of_parts():
-    # a real part first leaves a real partial sum, which the complex kinetic term widens
+    # the solver sums the samples of each kind of part, so the order of the parts
+    # moves neither the route nor a bit of the levels
     op = _isotropic_well(16)
     reversed_op = OperatorSum(op.parts[::-1])
     assert [e for e, _ in spectrum(reversed_op, 6)] == [e for e, _ in spectrum(op, 6)]
@@ -783,40 +785,93 @@ def test_spectrum_refuses_a_krylov_basis_above_the_dense_limit():
         spectrum(op, 300)
 
 
+def _count_solver_transforms(monkeypatch):
+    """The states that go through the rfftn `_lowest_block` binds, one entry per call:
+    its H products and its preconditioned residuals."""
+    real_dft, counted = evolution._dft, []
+
+    def counting_dft(name, a, axes):
+        transform = real_dft(name, a, axes)
+        if name != "rfftn":
+            return transform
+
+        def counting(x, out=None):
+            counted.append(len(x))
+            return transform(x, out=out)
+        return counting
+
+    monkeypatch.setattr(evolution, "_dft", counting_dft)
+    return counted
+
+
 def test_spectrum_steps_do_not_grow_with_the_kinetic_range(monkeypatch):
     # 1024 points over 20 length units: the kinetic term reaches 1.3e4 against a
-    # level spacing of 1; single-vector Lanczos took about 6800 products here
+    # level spacing of 1; single-vector Lanczos took about 6800 products here.
+    # The solver transforms 628 states: 320 H products and 308 residuals.
     grid = make_grid(1, 1024, 20.0, -10.0)
     op = hamiltonian(grid, 0.5 * grid.meshes[0] ** 2)
+    transformed = _count_solver_transforms(monkeypatch)
     real_apply, applied = OperatorSum._apply_amps, []
 
     def counting_apply(self, amps):
-        applied.append(amps.size // grid.size)
+        applied.append(amps.shape)
         return real_apply(self, amps)
 
     monkeypatch.setattr(OperatorSum, "_apply_amps", counting_apply)
     pairs = spectrum(op, 4)
-    assert sum(applied) < 1000
+    assert sum(transformed) < 1000
+    assert applied == [grid.shape]  # the probe alone: the solver applies H from its samples
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-11
 
 
 def test_spectrum_preconditions_the_kinetic_term_of_a_nested_sum(monkeypatch):
     # the 256-point well as a sum whose first part is itself a sum: the solver's
-    # preconditioner must see the kinetic term inside it (a flat sum takes 309 states)
+    # preconditioner must see the kinetic term inside it (it transforms 604 states)
     grid = make_grid(1, 256, 20.0, -10.0)
     half = 0.25 * grid.meshes[0] ** 2
     op = OperatorSum((hamiltonian(grid, half), potential_op(grid, half)))
-    real_apply, applied = OperatorSum._apply_amps, []
-
-    def counting_apply(self, amps):
-        if self is op:
-            applied.append(amps.size // grid.size)
-        return real_apply(self, amps)
-
-    monkeypatch.setattr(OperatorSum, "_apply_amps", counting_apply)
+    transformed = _count_solver_transforms(monkeypatch)
     pairs = spectrum(op, 4)
-    assert sum(applied) < 1000
+    assert sum(transformed) < 1000
+    full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
+    assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-12
+
+
+class Shift(LinearOperator):
+    """2 I on one grid: a summand that is neither diagonal nor spectral."""
+
+    label = "2I"
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def _apply_amps(self, amps):
+        return 2 * amps
+
+
+def test_spectrum_applies_a_custom_summand_through_its_own_apply():
+    grid = make_grid(1, 256, 20.0, -10.0)
+    op = OperatorSum((hamiltonian(grid, 0.5 * grid.meshes[0] ** 2), Shift(grid)))
+    levels = np.array([e for e, _ in spectrum(op, 4)])
+    assert np.max(np.abs(levels - [2.5, 3.5, 4.5, 5.5])) <= 1e-12
+
+
+def test_spectrum_sends_a_slightly_complex_operator_to_the_dense_route(monkeypatch):
+    # H + 1e-5 p maps the probe to an imaginary share of 7.8e-7 of its largest
+    # magnitude: above REALNESS_TOL, yet far below any loose tolerance.  Solved
+    # matrix-free, its odd part would be lost, and its levels off by 1.7e-5.
+    grid = make_grid(1, 256, 20.0, -10.0)
+    op = OperatorSum((hamiltonian(grid, 0.5 * grid.meshes[0] ** 2), momentum_op(grid, 0, 1e-5)))
+    built = []
+
+    def counting_to_dense(h):
+        built.append(h)
+        return to_dense(h)
+
+    monkeypatch.setattr(evolution, "to_dense", counting_to_dense)
+    pairs = spectrum(op, 4)
+    assert built == [op]
     full = sla.eigh(to_dense(op).matrix, eigvals_only=True)
     assert np.max(np.abs(np.array([e for e, _ in pairs]) - full[:4])) <= 1e-12
 

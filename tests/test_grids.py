@@ -396,12 +396,12 @@ def test_several_axes_and_real_input_keep_scipys_bits(scipy_fft, shape, axes):
         assert np.array_equal(_dft(name, a, axes)(a), want), name
         b = a.copy()
         assert _dft(name, b, axes)(b, out=b) is b and np.array_equal(b, want), name
-    # real input: numpy's r2c gufunc along the last axis, and fftn's other half
-    # filled as scipy fills it, the sign of each zero included
+    # fftn of real input is fftn of that input cast to complex, the sign of each zero included
     full = _dft("fftn", real, axes)(real)
-    want = oracle["fftn"](real, axes=axes)
+    want = oracle["fftn"](real.astype(complex), axes=axes)
     assert np.array_equal(full, want)
     assert np.array_equal(np.signbit(full.view(float)), np.signbit(want.view(float)))
+    # real input to rfftn: numpy's r2c gufunc along the last axis
     half = oracle["rfftn"](real, axes=axes)
     assert np.array_equal(_dft("rfftn", real, axes)(real), half)
     want = oracle["irfftn"](half, s=[shape[axis] for axis in axes], axes=axes)
