@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .checks import VerifyConfig, _ehrenfest_residuals, run_all
@@ -286,7 +285,9 @@ def _run_command(args) -> int:
                 "seed": config.seed, "duration_seconds": time.perf_counter() - marks[0],
                 "phase_seconds": phases, "outputs": [str(path) for path in outputs],
                 "python_version": platform.python_version(), "numpy_version": np.__version__,
-                "scipy_version": scipy.__version__, "cpu_count": os.cpu_count(),
+                # the scipy loaded in this process, None when none is
+                "scipy_version": getattr(sys.modules.get("scipy"), "__version__", None),
+                "cpu_count": os.cpu_count(),
                 "blas_threads": [get() for get, _ in _blas_pools()],
                 **command.fields(config, result, phases)}
     write_json(out_dir / f"{args.command}_manifest.json", manifest)

@@ -103,23 +103,22 @@ class Trajectory:
 
 @cache
 def _blas_pools() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS pool in numpy's and scipy's wheels.
+    """(get, set) thread-count functions of each OpenBLAS pool in numpy's wheel.
 
-    A pool is an `*openblas*` library in `numpy.libs` or `scipy.libs`, found by path, exporting
-    `scipy_openblas_{get,set}_num_threads{64_,}`; other BLAS builds have none.
+    A pool is an `*openblas*` library in `numpy.libs`, found by path, exporting
+    `scipy_openblas_{get,set}_num_threads{64_,}`; other BLAS builds have none.  The
+    scopes of `_single_blas_thread` call numpy's BLAS alone, so scipy's wheel is not searched.
     """
-    import scipy
     pools = []
-    for libs in (Path(np.__file__).parents[1] / "numpy.libs",
-                 Path(scipy.__file__).parents[1] / "scipy.libs"):
-        for path, suffix in itertools.product(sorted(libs.glob("*openblas*")), ("64_", "")):
-            lib = ctypes.CDLL(str(path))
-            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
-                        for op in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                pools.append((get, put))
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path, suffix in itertools.product(sorted(libs.glob("*openblas*")), ("64_", "")):
+        lib = ctypes.CDLL(str(path))
+        get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
+                    for op in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            pools.append((get, put))
     return tuple(pools)
 
 
@@ -172,16 +171,15 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
     The even sector: when u_samples and psi0.amps are both 2-D, axis 1 has an
     even length n, and both are unchanged by the index map j -> -j mod n
     along axis 1 (compared exactly), linear evolution keeps the state so.
-    Then only the columns j = 0..n/2 are held, and the transform along axis 1
-    is the DCT-I of those columns, which equals the first n/2 + 1 entries of
-    the FFT of the whole even row.  Any other input, 1-D runs and odd n
-    included, is held whole and transformed by FFTs.  So the representation
-    is picked once, as the (forward, inverse, expand) triple that the whole
-    state, the kick's slab and a row share: the identity in 1-D, FFTs
-    along axis 1 (and the identity) on a full 2-D grid, the DCT-I and
-    IDCT-I (and the mirror image of the columns) in the even sector.  Each
-    transform, the identity or one bound by `_dft`, writes into the `out` it
-    is given, so all three run in place through one kick path.
+    Then only the columns j = 0..n/2 are held, so the drift runs on half the
+    grid; any other input, 1-D runs and odd n included, is held whole.  The
+    representation is picked once: the transform pair, the identity in 1-D
+    and `_dft`'s FFT pair along axis 1 in 2-D, runs in place on full rows;
+    `expand` gives the full rows of held ones, and `fold` writes their held
+    columns back.  Held whole, both do nothing; in the even sector, `expand`
+    appends the mirror image of the held columns.  A kick expands its slab
+    once for both of its transforms.  A state handed out is expanded from
+    held position-space columns, so in the even sector it is exactly even.
 
     Adjacent half-kicks are merged into one full kick, and split only at the
     last step and at each record point (step % record_every == 0), where the
@@ -197,7 +195,7 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
     trailing = tuple(range(1, grid.dim))
     even = _mirror_even(u_samples) and _mirror_even(psi0.amps)
     width = grid.n[1] // 2 + 1 if even else None  # the columns held
-    u_samples, kinetic = u_samples[..., :width], kinetic[..., :width]
+    kinetic = kinetic[..., :width]
 
     rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
     slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
@@ -210,23 +208,30 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
             raise ValueError(f"the {name} overflows for hbar={hbar!r}, dt={dt!r}")
     del kinetic
     half_kick = np.exp(kick_phase, out=kick_phase)
-    full_kick = half_kick * half_kick
+    full_kick = half_kick * half_kick  # kicks full rows; a half-kick, the held columns
+    half_kick = half_kick[..., :width]
     drift = np.exp(drift_phase, out=drift_phase)
 
     amps = np.array(psi0.amps[..., :width], dtype=complex)
     forward = inverse = expand = lambda a, out=None: a  # the identity
+    fold = lambda full, held: None  # the transform wrote into held
+    if trailing:
+        forward, inverse = (_dft(name, psi0.amps, trailing) for name in ("fftn", "ifftn"))
     if even:
-        forward, inverse = (_dft(name, amps, (1,)) for name in ("dct1", "idct1"))
         expand = lambda a: np.concatenate([a, a[..., -2:0:-1]], axis=-1)
-    elif trailing:
-        forward, inverse = (_dft(name, amps, trailing) for name in ("fftn", "ifftn"))
+        fold = lambda full, held: np.copyto(held, full[..., :width])
     drift_forward, drift_inverse = (_dft(name, amps, (0,)) for name in ("fftn", "ifftn"))
 
+    def transform(func, held):
+        """func over the full rows of held, their held columns written back into held."""
+        full = expand(held)
+        fold(func(full, out=full), held)
+
     def row(i):
-        return expand(inverse(amps[i:i + 1]))[0]
+        return expand(inverse(expand(amps[i:i + 1]))[..., :width])[0]
 
     amps[slab] *= half_kick
-    forward(amps, out=amps)
+    transform(forward, amps)
     for step in range(1, steps + 1):
         drift_forward(amps, out=amps)
         amps *= drift
@@ -235,18 +240,18 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
             on_drift(row)
         recorded = on_record is not None and step % record_every == 0
         if step < steps and not recorded:
-            kicked = amps[slab]  # a view of contiguous rows, transformed in place
+            kicked = expand(amps[slab])  # full rows, or a view of the held slab
             inverse(kicked, out=kicked)
             kicked *= full_kick
-            forward(kicked, out=kicked)
+            fold(forward(kicked, out=kicked), amps[slab])
             continue
-        inverse(amps, out=amps)
+        transform(inverse, amps)
         amps[slab] *= half_kick
         if recorded:
             on_record(step, expand(amps))
         if step < steps:
             amps[slab] *= half_kick
-            forward(amps, out=amps)
+            transform(forward, amps)
     return expand(amps)
 
 
@@ -431,8 +436,9 @@ def spectrum(h, n_levels: int) -> list[tuple[float, Wavefunction]]:
     applies it from its summed samples (see `_lowest_block`).  That solver's
     basis holds 3 (n_levels + BLOCK_PAD) states; when this is more than a
     quarter of the N grid points, or more entries than the largest dense
-    matrix, the matrix is built with `to_dense` and solved by the subset
-    `eigh`, and above the dense size limit such a request is refused.
+    matrix, the matrix is built with `to_dense` and solved by scipy.linalg's
+    subset `eigh`, the one use of scipy in the package, and above the dense
+    size limit such a request is refused.
 
     A grid operator that fails one probe apply (`_maps_real_to_real`), a
     complex Hermitian one such as H + c p, takes the dense route at any

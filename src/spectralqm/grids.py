@@ -13,10 +13,9 @@ so that the discrete Parseval identity
 
 holds without correction factors.
 
-Every transform goes through `_dft`, which gives scipy.fft's bits: the FFTs
-over any axes call numpy.fft's pocketfft gufuncs one axis at a time, and only
-the DCT-I pair of the mirror-even sector calls scipy's pocketfft.  So
-scipy.fft is loaded by that sector alone.  Every transform runs on one worker.
+Every transform goes through `_dft`, which gives scipy.fft's bits without
+loading it: the FFTs over any axes call numpy.fft's pocketfft gufuncs one axis
+at a time.  Every transform runs on one worker.
 """
 
 from __future__ import annotations
@@ -266,7 +265,7 @@ def _origin_phase(grid: Grid) -> np.ndarray:
 
 def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
     """The transform `name` over `axes`, as a callable with scipy.fft's bits:
-    its fftn, ifftn, rfftn or irfftn, or dct1/idct1, its dct/idct of type 1.
+    its fftn, ifftn, rfftn or irfftn.
 
     It takes arrays like `a` (its number of axes and its lengths along `axes`;
     for irfftn, like its real result) and `out`: the input itself, to let a
@@ -278,20 +277,8 @@ def _dft(name: str, a: np.ndarray, axes: tuple[int, ...]):
     and irfftn's `irfft` pass last.  The inverse's 1/N (N the product of the
     lengths) scales its first complex pass, or its `irfft` pass.
     So its bits are scipy's wherever 1/N rounds alike in double and in scipy's
-    long double, at every power-of-two N among them.  The DCT-I pair alone loads
-    scipy: one `pypocketfft.dct` call over the (..., 2) float64 view of a
-    complex array gives scipy.fft's bits for its two parts.
+    long double, at every power-of-two N among them.
     """
-    if name in ("dct1", "idct1"):
-        from scipy.fft._pocketfft import pypocketfft
-        inorm, axes = (0 if name == "dct1" else 2), [axis % a.ndim for axis in axes]
-
-        def dct(x, out=None):
-            out = np.empty_like(x) if out is None else out
-            pypocketfft.dct(x[..., None].view(np.float64), 1, axes, inorm,
-                            out[..., None].view(np.float64))
-            return out
-        return dct
     from numpy.fft import _pocketfft_umath as pocketfft
     forward = name in ("fftn", "rfftn")
     ufunc, fct = ((pocketfft.fft, 1.0) if forward

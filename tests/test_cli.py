@@ -977,9 +977,8 @@ def _run_fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 # scipy.fft and scipy.linalg take about 0.2 s to import, and scipy.fft loads
-# scipy.special; a 1-D evolve needs none of them
-LAZY_SCIPY = ("print(sorted(m for m in ('scipy.fft', 'scipy.linalg', 'scipy.special') "
-              "if m in sys.modules))")
+# scipy.special; only a dense spectrum needs scipy, so the others load no scipy module
+LAZY_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
 
 
 def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
@@ -987,21 +986,27 @@ def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
 
 
 def _main_in_a_fresh_process(argv: list[str]) -> list[str]:
-    """The exit code of cli.main(argv) and the lazy scipy modules loaded after it."""
+    """The exit code of cli.main(argv) and the scipy modules loaded after it."""
     result = _run_fresh("-c", f"import sys, spectralqm.cli as cli; print(cli.main({argv!r})); "
                               f"{LAZY_SCIPY}")
     return result.stdout.splitlines()[-2:]
 
 
 def test_1d_evolve_leaves_scipy_fft_and_linalg_unloaded(harmonic_config_path, tmp_path):
-    argv = ["evolve", "--config", harmonic_config_path, "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["evolve", "--config", harmonic_config_path, "--out", str(out)]
     assert _main_in_a_fresh_process(argv) == ["0", "[]"]
+    # the manifest names the scipy the run loaded: none
+    assert json.loads((out / "evolve_manifest.json").read_text())["scipy_version"] is None
 
 
-@pytest.mark.parametrize("command", ["verify", "spectrum", "evolve"])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "evolve", "diffract"])
 def test_numpy_only_commands_leave_scipy_fft_linalg_and_special_unloaded(command, tmp_path):
-    # verify's dense algebra, the matrix-free spectrum's real transforms and a
-    # full-grid (not mirror-even: p0 moves along axis 1) 2-D run all take numpy
+    # verify's dense algebra, the matrix-free spectrum's real transforms, a
+    # full-grid (not mirror-even: p0 moves along axis 1) 2-D run and the
+    # mirror-even sector of the two-slit run all take numpy
+    from test_scenarios import fast_two_slit_config
+
     path = write_config(tmp_path, "well.json", {
         "name": "well-2d",
         "grid": {"dim": 2, "n": [32, 32], "length": [12.0, 12.0], "origin": [-6.0, -6.0]},
@@ -1010,19 +1015,22 @@ def test_numpy_only_commands_leave_scipy_fft_linalg_and_special_unloaded(command
         "dt": 1e-3,
         "steps": 20,
     })
+    slit = write_config(tmp_path, "slit.json", fast_two_slit_config().as_dict())
     argv = {"verify": ["verify"], "spectrum": ["spectrum", "--config", path, "--levels", "2"],
-            "evolve": ["evolve", "--config", path]}[command]
+            "evolve": ["evolve", "--config", path],
+            "diffract": ["diffract", "--config", slit]}[command]
     assert _main_in_a_fresh_process([*argv, "--out", str(tmp_path / "out")]) == ["0", "[]"]
 
 
-def test_mirror_even_diffract_loads_scipy_fft(tmp_path):
-    # the control of the test above: the even sector's DCT-I pair needs scipy.fft
-    from test_scenarios import fast_two_slit_config
-
-    path = write_config(tmp_path, "slit.json", fast_two_slit_config().as_dict())
-    code, loaded = _main_in_a_fresh_process(["diffract", "--config", path,
-                                             "--out", str(tmp_path / "out")])
-    assert code == "0" and "'scipy.fft'" in loaded
+def test_dense_spectrum_loads_scipy_linalg(harmonic_config_path, tmp_path):
+    # the control of the tests above: 18 levels of 256 points take the dense
+    # route, whose subset eigh is scipy.linalg's
+    out = tmp_path / "out"
+    code, loaded = _main_in_a_fresh_process(["spectrum", "--config", harmonic_config_path,
+                                             "--levels", "18", "--out", str(out)])
+    assert code == "0" and "'scipy.linalg'" in loaded
+    manifest = json.loads((out / "spectrum_manifest.json").read_text())
+    assert manifest["scipy_version"] == scipy.__version__
 
 
 def test_verify_and_diffract_run_correct_in_a_fresh_process(tmp_path):

@@ -365,11 +365,13 @@ def test_split_step_2d_even_sector_matches_plain_strang_loop(monkeypatch, n_y, p
     assert verdicts and all(verdicts) == even_sector
 
 
-# in 1-D the kick's pair is the identity, lambda a, out=None: a, which _dft does not bind
-@pytest.mark.parametrize("shape, kick_pair", [((64,), []), ((32, 16), ["fftn", "ifftn"]),
-                                              ((32, 16), ["dct1", "idct1"])],
+# in 1-D the kick's pair is the identity, lambda a, out=None: a, which _dft does not bind;
+# the even sector binds the axis-1 pair of a full 2-D grid, and holds 16 // 2 + 1 = 9 columns
+@pytest.mark.parametrize("shape, kick_pair, held", [((64,), [], (64,)),
+                                                    ((32, 16), ["fftn", "ifftn"], (32, 16)),
+                                                    ((32, 16), ["fftn", "ifftn"], (32, 9))],
                          ids=["1d", "full-2d", "even-sector"])
-def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair):
+def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair, held):
     """Every transform the kernel binds returns `out` when given out=x, holding f(x)."""
     bound, dft = [], evolution._dft
 
@@ -382,16 +384,18 @@ def test_kernel_transforms_write_into_out(monkeypatch, shape, kick_pair):
     u = np.zeros(shape)
     u[10:14] = 1.0  # mirror-even along axis 1 in 2-D
     amps = np.ones(shape, dtype=complex)
-    if kick_pair == ["fftn", "ifftn"]:
+    if kick_pair and held == shape:
         amps[:, 1] = 2.0  # breaks the mirror symmetry
     evolution._strang_propagate(Wavefunction(grid, amps), u, kinetic_op(grid).samples, 1.0,
                                 1e-2, 3)
-    assert [b[0] for b in bound] == kick_pair + ["fftn", "ifftn"]  # then the drift's pair
+    # the kick's pair over axis 1 of the full rows, then the drift's over axis 0 of those held
+    assert [b[:3] for b in bound] == ([(name, shape, (1,)) for name in kick_pair]
+                                      + [(name, held, (0,)) for name in ("fftn", "ifftn")])
     rng = np.random.default_rng(4)
-    for name, held, axes, f in bound:
+    for name, full, axes, f in bound:
         # the kick transforms the whole state, a slab, one row and an empty slab in place
-        for rows in (held[0], 4, 1, 0) if axes == (1,) else (held[0],):
-            size = (rows, *held[1:])
+        for rows in (full[0], 4, 1, 0) if axes == (1,) else (full[0],):
+            size = (rows, *full[1:])
             x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             want = f(x)
             assert f(x, out=x) is x and np.array_equal(x, want), (name, rows)

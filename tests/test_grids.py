@@ -278,7 +278,7 @@ def test_wavenumber_meshes_are_open():
 
 
 # ---------------------------------------------------------------------------
-# the transform entry point: numpy.fft's gufuncs, scipy's pocketfft for the DCT-I
+# the transform entry point: numpy.fft's gufuncs
 # ---------------------------------------------------------------------------
 
 
@@ -353,19 +353,6 @@ def test_one_axis_gufunc_calls_keep_numpys_bits():
         assert np.array_equal(_dft(name, view, (0,))(view), transform(view, axis=0))
         c = plane.copy()[:, ::2]
         assert np.array_equal(_dft(name, c, (0,))(c, out=c), transform(view, axis=0))
-
-
-def test_dct1_pair_keeps_scipys_bits_and_writes_into_out():
-    rng = np.random.default_rng(3)
-    # a slab of the 512-point two-slit grid's 257 even columns, one row, an empty slab
-    for rows in (40, 1, 0):
-        a = _complex(rng, (rows, 257))
-        for name, transform in (("dct1", sfft.dct), ("idct1", sfft.idct)):
-            want = transform(a, type=1, axis=1)
-            assert np.array_equal(_dft(name, a, (1,))(a), want), (name, rows)
-            b = a.copy()
-            assert _dft(name, b, (1,))(b, out=b) is b
-            assert np.array_equal(b, want), (name, rows)
 
 
 def test_real_input_and_two_axes_take_numpy(scipy_fft):
