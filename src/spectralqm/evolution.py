@@ -188,31 +188,15 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
     row(i) returns position-space axis-0 row i on the full grid as a new
     array.  The returned amplitudes are on the full grid too.  kinetic is T,
     the samples of `kinetic_op`; the drift phase is T dt / hbar.  A kick or
-    drift phase that overflows raises ValueError before any step.  T is let go
-    before the state is copied: a caller that keeps no reference never holds both.
+    drift phase that overflows raises ValueError before any step.  Each input
+    goes once read: u_samples when the kick phase is formed, psi0 when the
+    held state is copied, T when the drift phase is, and the phases before the
+    final expand; a caller that keeps no reference never holds them beside it.
     """
     grid = psi0.grid
     trailing = tuple(range(1, grid.dim))
     even = _mirror_even(u_samples) and _mirror_even(psi0.amps)
     width = grid.n[1] // 2 + 1 if even else None  # the columns held
-    kinetic = kinetic[..., :width]
-
-    rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
-    slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kick_phase = -1j * u_samples[slab] * dt / (2.0 * hbar)
-        drift_phase = -1j * kinetic * dt / hbar
-    for phase, name in ((kick_phase, "kick phase U dt / (2 hbar)"),
-                        (drift_phase, "drift phase T dt / hbar")):
-        if not np.isfinite(phase).all():
-            raise ValueError(f"the {name} overflows for hbar={hbar!r}, dt={dt!r}")
-    del kinetic
-    half_kick = np.exp(kick_phase, out=kick_phase)
-    full_kick = half_kick * half_kick  # kicks full rows; a half-kick, the held columns
-    half_kick = half_kick[..., :width]
-    drift = np.exp(drift_phase, out=drift_phase)
-
-    amps = np.array(psi0.amps[..., :width], dtype=complex)
     forward = inverse = expand = lambda a, out=None: a  # the identity
     fold = lambda full, held: None  # the transform wrote into held
     if trailing:
@@ -220,6 +204,25 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
     if even:
         expand = lambda a: np.concatenate([a, a[..., -2:0:-1]], axis=-1)
         fold = lambda full, held: np.copyto(held, full[..., :width])
+
+    rows = np.flatnonzero(np.any(u_samples != 0, axis=trailing))
+    slab = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_kick = -1j * u_samples[slab] * dt / (2.0 * hbar)
+        del u_samples
+        amps = np.array(psi0.amps[..., :width], dtype=complex)
+        del psi0
+        drift = -1j * kinetic[..., :width] * dt / hbar
+        del kinetic
+    overflows = [name for phase, name in ((half_kick, "kick phase U dt / (2 hbar)"),
+                                          (drift, "drift phase T dt / hbar"))
+                 if not np.isfinite(phase).all()]
+    if overflows:
+        raise ValueError(f"the {overflows[0]} overflows for hbar={hbar!r}, dt={dt!r}")
+    np.exp(half_kick, out=half_kick)
+    full_kick = half_kick * half_kick  # kicks full rows; a half-kick, the held columns
+    half_kick = half_kick[..., :width]
+    np.exp(drift, out=drift)
     drift_forward, drift_inverse = (_dft(name, amps, (0,)) for name in ("fftn", "ifftn"))
 
     def transform(func, held):
@@ -252,6 +255,7 @@ def _strang_propagate(psi0, u_samples, kinetic, hbar, dt, steps, record_every=No
         if step < steps:
             amps[slab] *= half_kick
             transform(forward, amps)
+    del drift, half_kick, full_kick
     return expand(amps)
 
 

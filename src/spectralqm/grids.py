@@ -207,8 +207,10 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunctio
     sigma is the position standard deviation per axis, and hbar turns the
     momentum p0 into the wavenumber p0/hbar.  Warns if the 5-sigma support
     leaks outside the periodic box, since every identity downstream assumes
-    a negligible boundary amplitude.  Raises ValueError when sigma or hbar is
-    not positive or an amplitude is not finite (p0 x / hbar or the envelope
+    a negligible boundary amplitude.  Each axis's exponent is formed on its
+    open mesh (`np.ix_` of `axis_points`); their sum, exponentiated in place,
+    is the one full-grid array.  Raises ValueError when sigma or hbar is not
+    positive or an amplitude is not finite (p0 x / hbar or the envelope
     overflows).
     """
     x0s = _per_axis(x0, grid.dim, "x0")
@@ -225,13 +227,14 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunctio
                 stacklevel=2,
             )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        meshes = grid.meshes
-        envelope = sum(-(x - c) ** 2 / (4.0 * np.float64(s) ** 2)
-                       for x, c, s in zip(meshes, x0s, sigmas))
-        phase = sum(p * x / hbar for x, p in zip(meshes, p0s))
-        amps = np.exp(envelope + 1j * phase)
+        exponents = [-(x - c) ** 2 / (4.0 * np.float64(s) ** 2) + 1j * (p * x / hbar)
+                     for x, c, s, p in zip(np.ix_(*map(grid.axis_points, range(grid.dim))),
+                                           x0s, sigmas, p0s)]
+        amps = sum(exponents)
+        np.exp(amps, out=amps)
     if not np.isfinite(amps).all():
-        cause = "p0 x / hbar" if not np.isfinite(phase).all() else "(x - x0)^2 / (4 sigma^2)"
+        phase_finite = np.isfinite(sum(e.imag for e in exponents)).all()
+        cause = "(x - x0)^2 / (4 sigma^2)" if phase_finite else "p0 x / hbar"
         raise ValueError(f"gaussian packet amplitudes are not finite: {cause} overflows "
                          f"(p0={p0!r}, hbar={hbar!r}, sigma={sigma!r})")
     return normalize(Wavefunction(grid, amps))
@@ -241,7 +244,7 @@ def plane_wave(grid: Grid, mode_index) -> Wavefunction:
     """Single harmonic exp(i k_m . x)/sqrt(volume), an exact momentum eigenstate."""
     modes = _per_axis(mode_index, grid.dim, "mode_index")
     phase = np.zeros(grid.shape)
-    for a, (m, x) in enumerate(zip(modes, grid.meshes)):
+    for a, (m, x) in enumerate(zip(modes, np.ix_(*map(grid.axis_points, range(grid.dim))))):
         m = int(m)
         half = grid.n[a] // 2
         if not -half <= m < half:

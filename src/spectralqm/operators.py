@@ -176,13 +176,13 @@ def kinetic_op(grid: Grid, mass: float = 1.0, hbar: float = 1.0) -> SpectralReal
     """T = hbar^2 |k|^2 / (2 mass), which the drift and the records read.
 
     The one place that forms |k|^2 (its Nyquist bin kept: |k|^2 is
-    unambiguous).  Refused unless hbar and mass are positive and every sample
-    is finite.
+    unambiguous), then scaled in place.  Refused unless hbar and mass are
+    positive and every sample is finite.
     """
     if not (hbar > 0 and mass > 0):
         raise ValueError(f"hbar and mass must be positive, got hbar={hbar!r}, mass={mass!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.float64(hbar) ** 2 * sum(k**2 for k in grid.k_meshes) / (2.0 * mass)
+        samples = sum(k**2 for k in grid.k_meshes) * np.float64(hbar) ** 2 / (2.0 * mass)
     if not np.isfinite(samples).all():
         raise ValueError(f"kinetic samples hbar^2 |k|^2 / (2 mass) overflow for hbar={hbar!r}, "
                          f"mass={mass!r}")

@@ -160,7 +160,7 @@ def _slit_wall_samples(grid: Grid, spec: dict) -> np.ndarray:
     thickness = float(spec["barrier_thickness"])
     width = float(spec["slit_width"])
     separation = float(spec["slit_separation"])
-    x, y = grid.meshes
+    x, y = np.ix_(grid.axis_points(0), grid.axis_points(1))  # a column and a row
     dx, dy = grid.spacing
     along = _smooth_step((x - (wall_x - thickness / 2)) / dx) * _smooth_step(
         ((wall_x + thickness / 2) - x) / dx
@@ -181,7 +181,8 @@ def potential_samples(grid: Grid, spec: dict) -> np.ndarray:
         else:
             # (c / p) x^p overflows later than c x^p / p; U = 0 if c = 0, even where x^p does
             c = coefficient(spec)
-            u = sum(((c / power) * x**power for x in grid.meshes if c), np.zeros(grid.shape))
+            u = sum(((c / power) * x**power for x in np.ix_(*map(grid.axis_points, range(grid.dim)))
+                     if c), np.zeros(grid.shape))
     if not np.isfinite(u).all():
         raise ValueError(f"the {spec['kind']} potential samples overflow for {spec!r}")
     return u
@@ -206,12 +207,10 @@ def _analytic_force(grid: Grid, spec: dict):
 
 def build(config: ScenarioConfig) -> tuple[Grid, np.ndarray, Wavefunction]:
     """Grid, sampled potential, and normalized initial state for a config."""
-    g = config.grid
+    g, init = config.grid, config.initial
     grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
     u = potential_samples(grid, config.potential)
-    init = config.initial
-    psi0 = gaussian_packet(grid, init["x0"], init["p0"], init["sigma"], config.hbar)
-    return grid, u, psi0
+    return grid, u, gaussian_packet(grid, init["x0"], init["p0"], init["sigma"], config.hbar)
 
 
 def run(config: ScenarioConfig) -> Trajectory:
@@ -315,11 +314,13 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
 
     Accumulates time-integrated |psi|^2 on the detector column every step,
     then extracts the fringe spacing and compares it against the far-field
-    prediction lambda * D / d with lambda = 2 pi hbar / p0.
+    prediction lambda * D / d with lambda = 2 pi hbar / p0.  The config is checked
+    first; the packet, U and T then go to the kernel inline, which frees each once read.
     """
     if config.potential["kind"] != "slit_wall":
         raise ValueError("run_diffraction needs a slit_wall potential")
-    grid, u, psi0 = build(config)
+    g, init = config.grid, config.initial
+    grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
     spec = config.potential
     positions = spec["positions"]
     wall_x = float(positions["wall"])
@@ -347,8 +348,10 @@ def run_diffraction(config: ScenarioConfig) -> DiffractionResult:
     def accumulate(row):
         intensity[:] += np.abs(row(det_col)) ** 2 * config.dt
 
-    amps = _strang_propagate(psi0, u, kinetic_op(grid, config.mass, config.hbar).samples,
-                             config.hbar, config.dt, config.steps, on_drift=accumulate)
+    amps = _strang_propagate(
+        gaussian_packet(grid, init["x0"], init["p0"], init["sigma"], config.hbar),
+        potential_samples(grid, spec), kinetic_op(grid, config.mass, config.hbar).samples,
+        config.hbar, config.dt, config.steps, on_drift=accumulate)
 
     dv = grid.cell_volume
     final_norm = float(np.sum(np.abs(amps) ** 2) * dv)

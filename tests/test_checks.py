@@ -883,3 +883,10 @@ def test_a_nan_residual_fails(monkeypatch, case):
     # max(0.0, nan) is 0.0: a residual taken by Python's max would drop the NaN and pass
     for report in case(monkeypatch):
         assert np.isnan(report.residual) and not report.passed, report.name
+
+
+def test_a_residual_equal_to_its_tolerance_passes():
+    # CheckReport passes iff residual <= tolerance; the mutant `residual < tolerance` fails these
+    assert checks._report("edge", "edge-tag", 1e-10, 1e-10).passed
+    assert checks._report("edge", "edge-tag", [0.25e-10, 1e-10], 1e-10).passed
+    assert not checks._report("edge", "edge-tag", np.nextafter(1e-10, 1.0), 1e-10).passed

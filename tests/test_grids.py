@@ -116,6 +116,58 @@ def test_gaussian_packet_warns_near_boundary(wide_grid):
         gaussian_packet(wide_grid, 18.0, 0.0, 1.0)
 
 
+def test_gaussian_packet_warns_when_its_5_sigma_support_leaves_the_box(wide_grid):
+    # x0 + 5 sigma = 20.5 lies past the edge at 20, x0 + 4 sigma = 19.5 inside it, so the
+    # mutant that warns at 4 sigma in place of 5 stays silent here
+    with pytest.warns(UserWarning, match="5 sigma"):
+        gaussian_packet(wide_grid, 15.5, 0.0, 1.0)
+    with pytest.warns(UserWarning, match="5 sigma"):
+        gaussian_packet(wide_grid, -15.5, 0.0, 1.0)
+
+
+def _full_mesh_packet(grid, x0s, p0s, sigmas, hbar):
+    """The packet formed on the full coordinate meshes, as before its per-axis form."""
+    meshes = grid.meshes
+    envelope = sum(-(x - c) ** 2 / (4.0 * np.float64(s) ** 2)
+                   for x, c, s in zip(meshes, x0s, sigmas))
+    phase = sum(p * x / hbar for x, p in zip(meshes, p0s))
+    return normalize(Wavefunction(grid, np.exp(envelope + 1j * phase))).amps
+
+
+@pytest.mark.parametrize("grid, x0, p0, sigma, hbar", [
+    # 64x32 with p0 on both axes; each x0 is a grid point, so an envelope term is exactly 0
+    (make_grid(2, [64, 32], [8.0, 4.0], [-4.0, -2.0]), [0.5, -0.25], [3.0, -1.5], [0.6, 0.3], 0.8),
+    # the 1-D well grid and packet of `evolve` and the verify groups
+    (make_grid(1, 256, 20.0, -10.0), [1.0], [0.0], [1.0], 1.0),
+    (make_grid(1, 256, 20.0, -10.0), [-0.3], [2.5], [0.6], 1.0),
+], ids=["2d-64x32", "1d-well", "1d-moving"])
+def test_gaussian_packet_keeps_the_bits_of_the_full_mesh_formula(grid, x0, p0, sigma, hbar):
+    got = gaussian_packet(grid, x0, p0, sigma, hbar).amps
+    assert np.array_equal(got, _full_mesh_packet(grid, x0, p0, sigma, hbar))
+
+
+def test_plane_wave_and_kinetic_samples_keep_the_bits_of_the_full_mesh_formula():
+    grid = make_grid(2, [64, 32], [8.0, 4.0], [-4.0, -2.0])
+    phase = np.zeros(grid.shape)
+    for m, x, length in zip((5, -3), grid.meshes, grid.length):
+        phase = phase + 2 * np.pi * m / length * x
+    want = (np.exp(1j * phase) / np.sqrt(np.prod(grid.length))).astype(complex)
+    assert np.array_equal(plane_wave(grid, (5, -3)).amps, want)
+    hbar, mass = 0.7, 1.9
+    want = np.float64(hbar) ** 2 * sum(k**2 for k in grid.k_meshes) / (2.0 * mass)
+    assert np.array_equal(kinetic_op(grid, mass, hbar).samples, want)
+
+
+@pytest.mark.parametrize("origin, x0", [(-2.0, [1e308, 0.0]), (-1e300, [0.0, 0.0])],
+                         ids=["x0-1e308", "origin-minus-1e300"])
+def test_an_overflowing_2d_packet_is_refused(origin, x0):
+    # (x - x0)^2 overflows on every sample, so each amplitude is exp(-inf) = 0: normalize
+    # refuses the zero state rather than dividing it into NaN
+    grid = make_grid(2, [16, 8], 4.0, origin)
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="zero wavefunction"):
+        gaussian_packet(grid, x0, 0.0, 1.0)
+
+
 def test_plane_wave_momentum():
     grid = make_grid(1, 16, 16.0, 0.0)
     assert expectation(momentum_op(grid), plane_wave(grid, 4)) == pytest.approx(np.pi / 2, abs=1e-12)

@@ -1,6 +1,7 @@
 """Scenario configs, potential construction, runs, and diffraction analysis."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from spectralqm import (
     ScenarioConfig,
     build,
+    gaussian_packet,
     make_grid,
     potential_samples,
     reference_two_slit_config,
     run,
     run_diffraction,
 )
+from spectralqm import scenarios
 from spectralqm.checks import _central_difference
 from spectralqm.evolution import _strang_propagate
 from spectralqm.operators import kinetic_op
@@ -360,6 +363,77 @@ def test_run_diffraction_validates_config():
     bad = fast_two_slit_config(positions={"wall": 0.08, "detector": -0.02})
     with pytest.raises(ValueError, match="beyond the wall"):
         run_diffraction(bad)
+
+
+def test_run_diffraction_checks_its_config_before_forming_any_field(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a field was formed before the config was checked")
+
+    for name in ("gaussian_packet", "potential_samples", "kinetic_op", "_strang_propagate"):
+        monkeypatch.setattr(scenarios, name, unreachable)
+    cfg = fast_two_slit_config(positions={"wall": 0.08, "detector": -0.02})
+    with pytest.raises(ValueError, match="beyond the wall"):
+        run_diffraction(cfg)
+    cfg = dataclasses.replace(cfg, potential=fast_two_slit_config().potential,
+                              initial=dict(cfg.initial, p0=[-536.0, 0.0]))
+    with pytest.raises(ValueError, match="aim at the wall"):
+        run_diffraction(cfg)
+
+
+def _full_mesh_potential(grid, spec):
+    """U formed on the full coordinate meshes, as before its per-axis form."""
+    x, y = grid.meshes
+    if spec["kind"] == "harmonic":
+        c, p = np.float64(spec["omega"]) ** 2, 2
+    elif spec["kind"] == "quartic":
+        c, p = float(spec["a"]), 4
+    else:
+        def smooth_step(u):
+            return 0.5 * (1.0 + np.tanh(u))
+        wall_x, thickness = spec["positions"]["wall"], spec["barrier_thickness"]
+        width, separation = spec["slit_width"], spec["slit_separation"]
+        dx, dy = grid.spacing
+        along = smooth_step((x - (wall_x - thickness / 2)) / dx) * smooth_step(
+            ((wall_x + thickness / 2) - x) / dx)
+        centers = [0.0] if separation == 0.0 else [-separation / 2, separation / 2]
+        opening = sum(smooth_step((y - (c - width / 2)) / dy)
+                      * smooth_step(((c + width / 2) - y) / dy) for c in centers)
+        return spec["barrier_height"] * along * (1.0 - np.clip(opening, 0.0, 1.0))
+    return np.zeros(grid.shape) + (c / p) * x**p + (c / p) * y**p
+
+
+@pytest.mark.parametrize("spec", [
+    fast_two_slit_config().potential,
+    fast_two_slit_config(slit_separation=0.0).potential,
+    {"kind": "harmonic", "omega": 1.3},
+    {"kind": "quartic", "a": 0.7},
+], ids=["two-slit", "one-slit", "harmonic", "quartic"])
+def test_potential_samples_keep_the_bits_of_the_full_mesh_formula(spec):
+    grid = make_grid(2, [128, 64], [0.42, 1.0], [-0.21, -0.5])
+    got = potential_samples(grid, spec)
+    assert got.shape == grid.shape and np.array_equal(got, _full_mesh_potential(grid, spec))
+
+
+def test_two_slit_setup_holds_few_grid_arrays_at_once():
+    # the packet, the wall and a few kernel steps with their inputs handed over inline, as
+    # run_diffraction does, on the fast 256^2 config.  In complex grid arrays of 16 N
+    # bytes the peak reads 2.5, so the bound of 3 leaves 0.5 of margin; it read 4.5 when
+    # the packet and wall were formed on full meshes and the kernel kept its inputs
+    cfg = fast_two_slit_config()
+    g, init = cfg.grid, cfg.initial
+    grid = make_grid(g["dim"], g["n"], g["length"], g["origin"])
+    array_bytes = 16 * grid.size
+    tracemalloc.start()
+    try:
+        amps = _strang_propagate(
+            gaussian_packet(grid, init["x0"], init["p0"], init["sigma"], cfg.hbar),
+            potential_samples(grid, cfg.potential), kinetic_op(grid, cfg.mass, cfg.hbar).samples,
+            cfg.hbar, cfg.dt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == grid.shape
+    assert peak <= 3.0 * array_bytes, peak / array_bytes
 
 
 def test_reference_config_is_valid():
