@@ -38,7 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 # lines that write_csv writes per call, and rows that _trajectory_rows converts at a time
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 1024
 
 
 def _json_value(value) -> str:

@@ -209,9 +209,10 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunctio
     leaks outside the periodic box, since every identity downstream assumes
     a negligible boundary amplitude.  Each axis's exponent is formed on its
     open mesh (`np.ix_` of `axis_points`); their sum, exponentiated in place,
-    is the one full-grid array.  Raises ValueError when sigma or hbar is not
-    positive or an amplitude is not finite (p0 x / hbar or the envelope
-    overflows).
+    is the one full-grid array, and it is normalized in place, with the bits of
+    `normalize`.  Raises ValueError when sigma or hbar is not positive, an
+    amplitude is not finite (p0 x / hbar or the envelope overflows), or every
+    amplitude underflows to zero.
     """
     x0s = _per_axis(x0, grid.dim, "x0")
     p0s = _per_axis(p0, grid.dim, "p0")
@@ -237,7 +238,14 @@ def gaussian_packet(grid: Grid, x0, p0, sigma, hbar: float = 1.0) -> Wavefunctio
         cause = "(x - x0)^2 / (4 sigma^2)" if phase_finite else "p0 x / hbar"
         raise ValueError(f"gaussian packet amplitudes are not finite: {cause} overflows "
                          f"(p0={p0!r}, hbar={hbar!r}, sigma={sigma!r})")
-    return normalize(Wavefunction(grid, amps))
+    # normalize in place, with norm_squared's reduction and normalize's refusal
+    density = np.abs(amps)
+    density *= density
+    n2 = float(np.sum(density) * grid.cell_volume)
+    if n2 <= 0.0:
+        raise ValueError("cannot normalize a zero wavefunction")
+    amps /= np.sqrt(n2)
+    return Wavefunction(grid, amps)
 
 
 def plane_wave(grid: Grid, mode_index) -> Wavefunction:

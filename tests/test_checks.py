@@ -268,6 +268,33 @@ def test_commutant_x_only_negative_control(monkeypatch):
     assert "nullity=8" in report.details
 
 
+def _full_svd_commutant(n):
+    """Nullity, alignment and spectral gap from a thin SVD of the whole stacked map."""
+    grid = make_grid(1, n, float(n), 0.0)
+    eye = np.eye(n, dtype=complex)
+    blocks = [np.kron(eye, a.T) - np.kron(a, eye)
+              for a in (checks.to_dense(op(grid)).matrix
+                        for op in (checks.position_op, checks.momentum_op))]
+    _, svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    nullity = int(np.sum(svals <= max(svals[0], 1.0) * 1e-10))
+    alignment = np.linalg.norm(vh[-nullity:] @ eye.ravel()) / np.sqrt(n)
+    return nullity, alignment, svals[-(nullity + 1)]
+
+
+@pytest.mark.parametrize("x_only", [False, True], ids=["x-and-p", "x-only"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_commutant_r_factor_agrees_with_the_full_svd(monkeypatch, n, x_only):
+    if x_only:
+        monkeypatch.setattr(checks, "momentum_op",
+                            lambda grid: SpectralReal(grid, np.zeros(grid.shape), label="p[0]"))
+    nullity, alignment, gap = _full_svd_commutant(n)
+    assert nullity == (n if x_only else 1)
+    fields = dict(item.split("=") for item in check_commutant_uniqueness(n).details.split())
+    assert int(fields["nullity"]) == nullity
+    assert float(fields["alignment"]) == pytest.approx(alignment, abs=1e-12)
+    assert float(fields["spectral_gap"]) == pytest.approx(gap, rel=1e-3)
+
+
 def test_commutant_rejects_bad_size():
     with pytest.raises(ValueError):
         check_commutant_uniqueness(32)

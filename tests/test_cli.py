@@ -144,7 +144,8 @@ def _old_csv_bytes(header, rows) -> bytes:
 
 
 @pytest.mark.parametrize("count", [0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
-                                   2 * cli._CSV_BLOCK + 7])
+                                   4 * cli._CSV_BLOCK - 1, 4 * cli._CSV_BLOCK,
+                                   8 * cli._CSV_BLOCK + 7])
 def test_write_csv_streams_a_generator_to_the_bytes_of_a_list(tmp_path, count):
     # None cells, and the pattern of cell types changing in the middle of a block
     def row(i):
@@ -175,7 +176,8 @@ def _synthetic_trajectory(records: int) -> evolution.Trajectory:
 
 
 @pytest.mark.parametrize("records", [1, 2, 3, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
-                                     cli._CSV_BLOCK + 2, 2 * cli._CSV_BLOCK + 3])
+                                     4 * cli._CSV_BLOCK, 4 * cli._CSV_BLOCK + 1,
+                                     4 * cli._CSV_BLOCK + 2, 8 * cli._CSV_BLOCK + 3])
 def test_trajectory_csv_blocks_give_the_old_rows(tmp_path, capsys, records):
     # the oracle: whole columns zipped, residuals None at the two endpoint rows
     traj = _synthetic_trajectory(records)
@@ -194,7 +196,8 @@ def test_trajectory_csv_blocks_give_the_old_rows(tmp_path, capsys, records):
 
 
 def test_trajectory_csv_write_holds_one_block_not_every_record(tmp_path, capsys):
-    # the whole-file writer held ~920 B per record: 17.6 MiB at 20 001 records, 69.9 at 80 001
+    # the whole-file writer held ~920 B per record: 17.6 MiB at 20 001 records, 69.9 at 80 001.
+    # 4096-line blocks peaked at 3.9 MiB at 20 001; 1024-line blocks at 1.4, bounded at 2
     peaks = {}
     for records in (20_001, 80_001):
         traj = _synthetic_trajectory(records)
@@ -204,7 +207,7 @@ def test_trajectory_csv_write_holds_one_block_not_every_record(tmp_path, capsys)
             peaks[records] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[20_001] <= 6 * 2**20
+    assert peaks[20_001] <= 2 * 2**20
     assert (peaks[80_001] - peaks[20_001]) / 60_000 <= 64
 
 

@@ -1,6 +1,7 @@
 """Grids, wavefunctions, inner products, and the transform pair."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def _full_mesh_packet(grid, x0s, p0s, sigmas, hbar):
 def test_gaussian_packet_keeps_the_bits_of_the_full_mesh_formula(grid, x0, p0, sigma, hbar):
     got = gaussian_packet(grid, x0, p0, sigma, hbar).amps
     assert np.array_equal(got, _full_mesh_packet(grid, x0, p0, sigma, hbar))
+
+
+def test_gaussian_packet_normalizes_in_place_with_the_bits_of_normalize():
+    # the two-slit packet; normalize divided into a second array, a peak of two grid arrays
+    grid = make_grid(2, [512, 512], [0.42, 1.0], [-0.21, -0.5])
+    x0s, p0s, sigmas, hbar = [-0.115, 0.0], [1072.0, 0.0], [0.018, 0.02], 1.0
+    raw = sum(-(x - c) ** 2 / (4.0 * np.float64(s) ** 2) + 1j * (p * x / hbar)
+              for x, c, s, p in zip(np.ix_(*map(grid.axis_points, range(2))), x0s, sigmas, p0s))
+    np.exp(raw, out=raw)
+    want = normalize(Wavefunction(grid, raw)).amps
+    tracemalloc.start()
+    try:
+        got = gaussian_packet(grid, x0s, p0s, sigmas, hbar).amps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # the packet and its real |amps|^2, plus 64 KiB for the per-axis exponents
+    assert peak <= 1.5 * got.nbytes + 2**16
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="zero wavefunction"):
+        gaussian_packet(grid, [1e308, 0.0], p0s, sigmas, hbar)
 
 
 def test_plane_wave_and_kinetic_samples_keep_the_bits_of_the_full_mesh_formula():
